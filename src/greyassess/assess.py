@@ -29,6 +29,10 @@ class GradeDistribution:
 
     counts: Mapping[str, int]
 
+    def __hash__(self) -> int:
+        # agrees with the generated __eq__, which compares the counts dicts
+        return hash(frozenset(self.counts.items()))
+
     def __post_init__(self) -> None:
         counts: dict[str, int] = {}
         for label, count in self.counts.items():
@@ -102,19 +106,16 @@ def mean_gn(dist: GradeDistribution, scale: GradeScale) -> GreyNumber:
     Accumulation runs in scale order, so the result does not depend on the
     mapping order of the distribution.
     """
-    _check_labels(dist, scale)
-    n = dist.n
-    if n == 0:
-        raise ValueError("empty distribution: no graded objects")
-    total: GreyNumber | None = None
+    n = _graded_count(dist, scale)
+    # -0.0 is the exact additive identity; GreyNumber rejects an overflowed sum
+    lower = upper = -0.0
     for label, gn in scale.entries:
         count = dist.count(label)
-        if count == 0:
-            continue
-        term = gn.scale(count)
-        total = term if total is None else total + term
-    assert total is not None
-    return total.scale(1.0 / n)
+        if count:
+            lower += count * gn.lower
+            upper += count * gn.upper
+    k = 1.0 / n
+    return GreyNumber(k * lower, k * upper)
 
 
 def assess(
@@ -157,9 +158,9 @@ def compare_groups(
 ) -> list[list[AssessmentReport]]:
     """Rank reports by whitened value, best first.
 
-    Returns tie groups: each inner list holds reports whose whitened values
-    differ by less than ``tie_tolerance``. All reports must share the same
-    scale and whitening parameter.
+    Returns tie groups: each inner list holds the reports whose whitened
+    values lie within ``tie_tolerance`` of its first, best report. All
+    reports must share the same scale and whitening parameter.
     """
     if not reports:
         return []
@@ -173,17 +174,21 @@ def compare_groups(
     ordered = sorted(reports, key=lambda r: -r.whitened)
     groups: list[list[AssessmentReport]] = [[ordered[0]]]
     for report in ordered[1:]:
-        if abs(groups[-1][-1].whitened - report.whitened) < tie_tolerance:
+        if abs(groups[-1][0].whitened - report.whitened) < tie_tolerance:
             groups[-1].append(report)
         else:
             groups.append([report])
     return groups
 
 
-def _check_labels(dist: GradeDistribution, scale: GradeScale) -> None:
+def _graded_count(dist: GradeDistribution, scale: GradeScale) -> int:
     known = set(scale.labels)
     unknown = [label for label in dist.counts if label not in known]
     if unknown:
         raise UnknownGradeError(
             f"distribution uses grades not in the scale: {', '.join(sorted(unknown))}"
         )
+    n = dist.n
+    if n == 0:
+        raise ValueError("empty distribution: no graded objects")
+    return n

@@ -83,8 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_scale(args: argparse.Namespace) -> GradeScale:
+    return read_scale_file(args.scale) if args.scale else default_scale()
+
+
 def _load_scale(args: argparse.Namespace) -> GradeScale:
-    scale = read_scale_file(args.scale) if args.scale else default_scale()
+    scale = _read_scale(args)
     violations = scale.validate()
     if violations:
         raise ValueError("invalid scale:\n  " + "\n  ".join(violations))
@@ -110,12 +114,16 @@ def _tfn_line(group_id: str, check) -> str:
     )
 
 
+def _assess_counts(args: argparse.Namespace, scale: GradeScale) -> list[AssessmentReport]:
+    groups = load_counts_csv(args.counts, scale)
+    return [assess(dist, scale, args.t, group_id=g) for g, dist in groups.items()]
+
+
 def _cmd_assess(args: argparse.Namespace) -> int:
     scale = _load_scale(args)
     extras: dict[str, float] = {}
     if args.counts:
-        groups = load_counts_csv(args.counts, scale)
-        reports = [assess(dist, scale, args.t, group_id=g) for g, dist in groups.items()]
+        reports = _assess_counts(args, scale)
     else:
         sheet = load_scores_csv(args.scores, scale)
         dist = scores_to_distribution(sheet, scale)
@@ -152,8 +160,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     scale = _load_scale(args)
     if args.counts:
-        groups = load_counts_csv(args.counts, scale)
-        reports = [assess(dist, scale, args.t, group_id=g) for g, dist in groups.items()]
+        reports = _assess_counts(args, scale)
     else:
         sheet = load_scores_csv(args.scores, scale)
         reports = []
@@ -161,30 +168,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             dist = scores_to_distribution(ScoreSheet(((subject, scores),)), scale)
             reports.append(assess(dist, scale, args.t, group_id=subject))
 
-    tie_groups = compare_groups(reports)
+    ranked: list[tuple[int, str, AssessmentReport]] = []
+    rank = 1
+    for group in compare_groups(reports):
+        tied = " (tie)" if len(group) > 1 else ""
+        ranked.extend((rank, tied, report) for report in group)
+        rank += len(group)
     if args.format == "json":
-        payload = []
-        rank = 1
-        for group in tie_groups:
-            for report in group:
-                payload.append({"rank": rank, **report.to_dict()})
-            rank += len(group)
+        payload = [{"rank": rank, **report.to_dict()} for rank, _, report in ranked]
         print(json.dumps(payload, indent=2))
     else:
-        rank = 1
-        for group in tie_groups:
-            tied = " (tie)" if len(group) > 1 else ""
-            for report in group:
-                print(
-                    f"{rank}. {report.group_id}: whitened={_round2(report.whitened)} "
-                    f"grade={report.grade}{tied}"
-                )
-            rank += len(group)
+        for rank, tied, report in ranked:
+            print(
+                f"{rank}. {report.group_id}: whitened={_round2(report.whitened)} "
+                f"grade={report.grade}{tied}"
+            )
     return 0
 
 
 def _cmd_validate_scale(args: argparse.Namespace) -> int:
-    scale = read_scale_file(args.scale) if args.scale else default_scale()
+    scale = _read_scale(args)
     violations = scale.validate()
     if args.format == "json":
         print(json.dumps({"valid": not violations, "violations": violations}, indent=2))

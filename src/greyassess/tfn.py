@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assess import GradeDistribution, mean_gn
-from .scale import GradeScale, UnknownGradeError
+from .assess import GradeDistribution, _graded_count, mean_gn
+from .scale import GradeScale
 
 #: The two assessment routes must agree within this absolute tolerance.
 EQUIVALENCE_TOLERANCE = 1e-9
@@ -58,24 +58,14 @@ def tfn_mean(dist: GradeDistribution, scale: GradeScale) -> TriangularFuzzyNumbe
     Computed with plain scalar arithmetic, independently of the grey-number
     operations, so the two assessment routes can cross-check each other.
     """
-    known = set(scale.labels)
-    unknown = [label for label in dist.counts if label not in known]
-    if unknown:
-        raise UnknownGradeError(
-            f"distribution uses grades not in the scale: {', '.join(sorted(unknown))}"
-        )
-    n = dist.n
-    if n == 0:
-        raise ValueError("empty distribution: no graded objects")
+    n = _graded_count(dist, scale)
     sum_a = sum_b = sum_c = 0.0
-    for label in scale.labels:
+    for label, gn in scale.entries:
         count = dist.count(label)
-        if count == 0:
-            continue
-        t = grade_tfn(scale, label)
-        sum_a += count * t.a
-        sum_b += count * t.b
-        sum_c += count * t.c
+        if count:
+            sum_a += count * gn.lower
+            sum_b += count * gn.midpoint
+            sum_c += count * gn.upper
     return TriangularFuzzyNumber(sum_a / n, sum_b / n, sum_c / n)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -5,7 +6,9 @@ import pytest
 
 from greyassess import (
     GradeDistribution,
+    GradeScale,
     GreyNumber,
+    IntervalError,
     OutOfDomainError,
     ScoreSheet,
     UnknownGradeError,
@@ -45,6 +48,12 @@ class TestGradeDistribution:
     def test_non_integer_count_rejected(self):
         with pytest.raises(ValueError):
             GradeDistribution({"A": 2.5})
+
+    def test_equal_distributions_hash_equal(self):
+        forward = GradeDistribution({"A": 1, "B": 2})
+        backward = GradeDistribution({"B": 2, "A": 1})
+        assert forward == backward and hash(forward) == hash(backward)
+        assert len({forward, backward, GradeDistribution({"A": 1})}) == 2
 
 
 class TestScoreSheet:
@@ -95,6 +104,15 @@ class TestMeanGn:
         with_zero = GradeDistribution({"A": 2, "B": 0})
         without = GradeDistribution({"A": 2})
         assert mean_gn(with_zero, scale) == mean_gn(without, scale)
+
+    @pytest.mark.parametrize("counts", [{"A": 2}, {"A": 1, "F": 1}])
+    def test_overflowed_endpoint_sum_rejected(self, counts):
+        huge = GradeScale(
+            (("A", GreyNumber(1e308, 1.7e308)), ("F", GreyNumber(0, 9e307))), 0, 1.7e308
+        )
+        assert huge.validate() == []
+        with pytest.raises(IntervalError, match="finite"):
+            mean_gn(GradeDistribution(counts), huge)
 
     def test_endpoints_stay_in_domain(self, scale):
         rng = random.Random(3)
@@ -275,3 +293,13 @@ class TestCompareGroups:
         )
         groups = compare_groups([report, almost])
         assert len(groups) == 1
+
+    def test_ties_anchor_to_best_report(self, g1_dist, scale):
+        # five reports 0.6e-9 apart: chained ties would span 2.4e-9
+        report = assess(g1_dist, scale)
+        reports = [
+            dataclasses.replace(report, group_id=str(i), whitened=report.whitened - i * 0.6e-9)
+            for i in range(5)
+        ]
+        groups = compare_groups(reports)
+        assert [[r.group_id for r in g] for g in groups] == [["0", "1"], ["2", "3"], ["4"]]

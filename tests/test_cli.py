@@ -115,6 +115,15 @@ class TestAssessCommand:
         assert code == 1
         assert "invalid scale" in err
 
+    def test_overflowing_mean_is_data_error(self, capsys, tmp_path):
+        scale_file = tmp_path / "huge.txt"
+        scale_file.write_text("domain 0 1.7e308\nA 1e308 1.7e308\nF 0 9e307\n", encoding="utf-8")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("group,grade,count\nG1,A,1\nG1,F,1\n", encoding="utf-8")
+        code, out, err = run(capsys, "assess", "--counts", str(counts), "--scale", str(scale_file))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCompareCommand:
     def test_counts_ranking(self, capsys, counts_csv):
