@@ -65,6 +65,12 @@ def load_counts_csv(path: str | Path, scale: GradeScale) -> dict[str, GradeDistr
             raise DataFormatError(f"line {lineno}: count is not an integer: {count_text!r}") from None
         if count < 0:
             raise DataFormatError(f"line {lineno}: negative count {count} for {group},{grade}")
+        try:
+            float(count)
+        except OverflowError:
+            raise DataFormatError(
+                f"line {lineno}: count for {group},{grade} is too large for a float"
+            ) from None
         if grade not in known:
             raise DataFormatError(
                 f"line {lineno}: unknown grade {grade!r}; scale defines {', '.join(scale.labels)}"

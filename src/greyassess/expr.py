@@ -11,6 +11,9 @@ bind tighter than '+' and '-'):
 A bare number x denotes the white number [x, x]. A '-' directly followed by
 a digit starts a negative number literal when it cannot be a binary minus
 (start of input, or right after an operator, '(', '[' or ',').
+
+Parsing, evaluation and formatting keep their work on explicit stacks, so
+nesting depth and expression length are limited only by memory.
 """
 
 from __future__ import annotations
@@ -45,143 +48,156 @@ class BinaryOp:
 GnExpression = Union[Literal, BinaryOp]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number", "+", "-", "*", "/", "(", ")", "[", "]", ",", "end"
-    text: str
-    position: int
-
-
-_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# One token per match, with the whitespace after it. Groups: 1 a whole
+# well-formed interval literal (2 and 3 its endpoints), 4 a number with an
+# adjacent '-', 5 an operator or bracket, 6 any other character. Group 1 is
+# exactly the token sequence '[' number ',' number ']', because \s is
+# str.isspace and a number can only end where the next character cannot
+# continue it.
+_TOKEN = re.compile(
+    rf"(?:(\[\s*(-?{_NUMBER})\s*,\s*(-?{_NUMBER})\s*\])|(-?{_NUMBER})|([-+*/()\[\],])|(\S))\s*"
+)
 _SIGN_CONTEXT = {None, "+", "-", "*", "/", "(", "[", ","}
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+*/()[],":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch == "-":
-            prev = tokens[-1].kind if tokens else None
-            if prev in _SIGN_CONTEXT and i + 1 < len(text) and (
-                text[i + 1].isdigit() or text[i + 1] == "."
-            ):
-                match = _NUMBER.match(text, i + 1)
-                assert match is not None
-                tokens.append(_Token("number", "-" + match.group(), i))
-                i = match.end()
-                continue
-            tokens.append(_Token("-", "-", i))
-            i += 1
-            continue
-        match = _NUMBER.match(text, i)
-        if match:
-            tokens.append(_Token("number", match.group(), i))
-            i = match.end()
-            continue
-        raise GnSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", len(text)))
+def _tokenize(text: str) -> list[tuple]:
+    """``(kind, text, position)`` tuples, ending with an ``"end"`` token.
+
+    Kinds are "number", "interval", "end" and the operator and bracket
+    characters. An interval token's text is its pair of endpoint texts; a
+    '[' that does not start a well-formed literal is a token of its own.
+    """
+    tokens: list[tuple] = []
+    append = tokens.append
+    kind = None
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        position = match.start()
+        if group == 1:
+            kind = "interval"
+            append((kind, (match[2], match[3]), position))
+        elif group == 4:
+            number = match[4]
+            if number[0] == "-" and kind not in _SIGN_CONTEXT:
+                append(("-", "-", position))
+                number = number[1:]
+                position += 1
+            kind = "number"
+            append((kind, number, position))
+        elif group == 5:
+            kind = match[5]
+            append((kind, kind, position))
+        else:
+            raise GnSyntaxError(f"unexpected character {match[6]!r}", position)
+    append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self._tokens = tokens
-        self._index = 0
+def _split_interval(tokens: list[tuple], i: int) -> tuple[tuple[str, str], int]:
+    """Endpoint texts of the literal the '[' token at ``tokens[i]`` opens, and the index after it.
 
-    @property
-    def _current(self) -> _Token:
-        return self._tokens[self._index]
-
-    def _advance(self) -> _Token:
-        token = self._current
-        self._index += 1
-        return token
-
-    def _expect(self, kind: str, what: str) -> _Token:
-        token = self._current
-        if token.kind != kind:
-            raise GnSyntaxError(f"expected {what}", token.position)
-        return self._advance()
-
-    def parse(self) -> GnExpression:
-        expression = self._expr()
-        trailing = self._current
-        if trailing.kind != "end":
-            raise GnSyntaxError(f"unexpected {trailing.text!r} after expression", trailing.position)
-        return expression
-
-    def _expr(self) -> GnExpression:
-        node = self._term()
-        while self._current.kind in ("+", "-"):
-            op = self._advance().kind
-            node = BinaryOp(op, node, self._term())
-        return node
-
-    def _term(self) -> GnExpression:
-        node = self._factor()
-        while self._current.kind in ("*", "/"):
-            op = self._advance().kind
-            node = BinaryOp(op, node, self._factor())
-        return node
-
-    def _factor(self) -> GnExpression:
-        token = self._current
-        if token.kind == "number":
-            self._advance()
-            value = float(token.text)
-            return Literal(GreyNumber(value, value))
-        if token.kind == "[":
-            return self._interval()
-        if token.kind == "(":
-            self._advance()
-            node = self._expr()
-            self._expect(")", "')'")
-            return node
-        raise GnSyntaxError("expected a number, an interval or '('", token.position)
-
-    def _interval(self) -> Literal:
-        opening = self._expect("[", "'['")
-        lower = float(self._expect("number", "a number").text)
-        self._expect(",", "','")
-        upper = float(self._expect("number", "a number").text)
-        self._expect("]", "']'")
-        try:
-            return Literal(GreyNumber(lower, upper))
-        except IntervalError as exc:
-            raise GnSyntaxError(f"invalid interval literal: {exc}", opening.position) from None
+    The tokenizer already joined every well-formed literal into one token,
+    so this finds the first token out of place and reports it.
+    """
+    for offset, (kind, what) in enumerate(
+        (("number", "a number"), (",", "','"), ("number", "a number"), ("]", "']'")), start=1
+    ):
+        token = tokens[i + offset]
+        if token[0] != kind:
+            raise GnSyntaxError(f"expected {what}", token[2])
+    return (tokens[i + 1][1], tokens[i + 3][1]), i + 5
 
 
 def parse_expression(text: str) -> GnExpression:
     """Parse expression text into a tree of literals and binary operations."""
-    return _Parser(_tokenize(text)).parse()
+    tokens = _tokenize(text)
+    operands: list[GnExpression] = []
+    operators: list[str] = []  # pending binary operators and '(' marks
+    depth = 0  # '(' marks on the operator stack
+    i = 0
+    while True:
+        # An operand: any opening parentheses, then a literal.
+        kind, value, position = tokens[i]
+        while kind == "(":
+            operators.append(kind)
+            depth += 1
+            i += 1
+            kind, value, position = tokens[i]
+        i += 1
+        if kind == "number":
+            number = float(value)
+            operands.append(Literal(GreyNumber(number, number)))
+        else:
+            if kind == "[":
+                value, i = _split_interval(tokens, i - 1)
+            elif kind != "interval":
+                raise GnSyntaxError("expected a number, an interval or '('", position)
+            try:
+                operands.append(Literal(GreyNumber(float(value[0]), float(value[1]))))
+            except IntervalError as exc:
+                raise GnSyntaxError(f"invalid interval literal: {exc}", position) from None
+
+        # Then any closing parentheses, and a binary operator or the end.
+        while True:
+            kind, value, position = tokens[i]
+            i += 1
+            precedence = _PRECEDENCE.get(kind)
+            if precedence is not None:
+                while operators and _PRECEDENCE.get(operators[-1], 0) >= precedence:
+                    right = operands.pop()
+                    operands[-1] = BinaryOp(operators.pop(), operands[-1], right)
+                operators.append(kind)
+                break
+            if kind == ")" and depth:
+                while (op := operators.pop()) != "(":
+                    right = operands.pop()
+                    operands[-1] = BinaryOp(op, operands[-1], right)
+                depth -= 1
+            elif depth:
+                raise GnSyntaxError("expected ')'", position)
+            elif kind == "end":
+                while operators:
+                    right = operands.pop()
+                    operands[-1] = BinaryOp(operators.pop(), operands[-1], right)
+                return operands[0]
+            else:
+                shown = "[" if kind == "interval" else value
+                raise GnSyntaxError(f"unexpected {shown!r} after expression", position)
 
 
 def eval_expression(expression: GnExpression) -> GreyNumber:
-    """Evaluate a parse tree bottom-up with grey-number arithmetic."""
-    if isinstance(expression, Literal):
-        return expression.value
-    left = eval_expression(expression.left)
-    right = eval_expression(expression.right)
-    if expression.op == "+":
-        return left + right
-    if expression.op == "-":
-        return left - right
-    if expression.op == "*":
-        return left * right
-    try:
-        return left / right
-    except ZeroDivisorError:
-        raise ZeroDivisorError(
-            f"division by interval containing zero in {format_expression(expression)}"
-        ) from None
+    """Evaluate a parse tree bottom-up with grey-number arithmetic.
+
+    Operands are evaluated left before right, so of several failing
+    operations the first in that post-order is reported.
+    """
+    values: list[GreyNumber] = []
+    pending: list[tuple[GnExpression, bool]] = [(expression, False)]
+    while pending:
+        node, operands_ready = pending.pop()
+        if operands_ready:
+            right = values.pop()
+            left = values[-1]
+            if node.op == "+":
+                values[-1] = left + right
+            elif node.op == "-":
+                values[-1] = left - right
+            elif node.op == "*":
+                values[-1] = left * right
+            else:
+                try:
+                    values[-1] = left / right
+                except ZeroDivisorError:
+                    raise ZeroDivisorError(
+                        f"division by interval containing zero in {format_expression(node)}"
+                    ) from None
+        elif isinstance(node, Literal):
+            values.append(node.value)
+        else:
+            pending += ((node, True), (node.right, False), (node.left, False))
+    return values[0]
 
 
 def calc(text: str) -> GreyNumber:
@@ -195,11 +211,15 @@ def format_expression(expression: GnExpression) -> str:
     White-number literals print as bare numbers, other intervals as
     ``[lower, upper]``; binary operations are fully parenthesized.
     """
-    if isinstance(expression, Literal):
-        gn = expression.value
-        if gn.is_white:
-            return repr(gn.lower)
-        return f"[{gn.lower!r}, {gn.upper!r}]"
-    left = format_expression(expression.left)
-    right = format_expression(expression.right)
-    return f"({left} {expression.op} {right})"
+    parts: list[str] = []
+    pending: list[GnExpression | str] = [expression]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Literal):
+            gn = item.value
+            parts.append(repr(gn.lower) if gn.is_white else f"[{gn.lower!r}, {gn.upper!r}]")
+        else:
+            pending += (")", item.right, f" {item.op} ", item.left, "(")
+    return "".join(parts)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, as the console script does."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "greyassess.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestAssessCommand:
@@ -124,6 +137,13 @@ class TestAssessCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_count_too_large_for_a_float_is_data_error(self, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("group,grade,count\nG1,A,1\nG1,B," + "9" * 400 + "\n", encoding="utf-8")
+        code, out, err = run_process("assess", "--counts", str(counts))
+        assert code == 1 and out == ""
+        assert err == "error: line 3: count for G1,B is too large for a float\n"
+
 
 class TestCompareCommand:
     def test_counts_ranking(self, capsys, counts_csv):
@@ -201,6 +221,29 @@ class TestCalcCommand:
     def test_unbalanced_parenthesis(self, capsys):
         code, _, err = run(capsys, "calc", "(1 + 2")
         assert code == 1 and "offset" in err
+
+    @pytest.mark.parametrize("text, position", [("1+-\u00b2", 3), ("1+-.", 3), ("1 - -.x", 5)])
+    def test_minus_before_a_non_number_is_data_error(self, capsys, text, position):
+        code, out, err = run(capsys, "calc", text)
+        assert code == 1 and out == ""
+        assert err == f"error: unexpected character {text[position]!r} (at offset {position})\n"
+
+    def test_deep_nesting(self, capsys):
+        code, out, err = run(capsys, "calc", "(" * 5000 + "1" + ")" * 5000)
+        assert code == 0 and err == ""
+        assert out == "[1, 1]\n"
+
+    def test_long_flat_sum(self, capsys):
+        code, out, err = run(capsys, "calc", " + ".join(["[1,2]"] * 10000))
+        assert code == 0 and err == ""
+        assert out == "[10000, 20000]\n"
+
+    def test_zero_divisor_under_a_long_sum(self, capsys):
+        text = "(" + " + ".join(["1"] * 3000) + ") / [-1, 1]"
+        code, out, err = run(capsys, "calc", text)
+        assert code == 1 and out == ""
+        assert err.startswith("error: division by interval containing zero in ")
+        assert err.count("\n") == 1
 
 
 class TestUsage:

@@ -52,6 +52,11 @@ class TestLoadCounts:
         with pytest.raises(DataFormatError, match="line 2"):
             load_counts_csv(path, scale)
 
+    def test_count_too_large_for_a_float(self, tmp_path, scale):
+        path = write(tmp_path, "group,grade,count\nG1,A," + "9" * 400 + "\n")
+        with pytest.raises(DataFormatError, match="line 2: count for G1,A is too large"):
+            load_counts_csv(path, scale)
+
     def test_non_integer_count(self, tmp_path, scale):
         path = write(tmp_path, "group,grade,count\nG1,A,lots\n")
         with pytest.raises(DataFormatError, match="not an integer"):

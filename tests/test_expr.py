@@ -71,6 +71,51 @@ class TestParse:
             parse_expression("[1,2] @ [3,4]")
         assert exc_info.value.position == 6
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "expected a number, an interval or '(' (at offset 0)"),
+            ("   ", "expected a number, an interval or '(' (at offset 3)"),
+            ("1 +", "expected a number, an interval or '(' (at offset 3)"),
+            ("(1", "expected ')' (at offset 2)"),
+            ("((1)", "expected ')' (at offset 4)"),
+            ("(1 [2,3])", "expected ')' (at offset 3)"),
+            ("[1 2]", "expected ',' (at offset 3)"),
+            ("[1,2", "expected ']' (at offset 4)"),
+            ("[1, 2, 3]", "expected ']' (at offset 5)"),
+            ("[,1]", "expected a number (at offset 1)"),
+            ("[1,]", "expected a number (at offset 3)"),
+            ("[- 3, 4]", "expected a number (at offset 1)"),
+            ("[[1,2]", "expected a number (at offset 1)"),
+            ("[1[2,3]", "expected ',' (at offset 2)"),
+            ("1 ) 2", "unexpected ')' after expression (at offset 2)"),
+            ("1[ 3, 1]", "unexpected '[' after expression (at offset 1)"),
+            ("[1,2] [3,4]", "unexpected '[' after expression (at offset 6)"),
+            ("[1,2]3", "unexpected '3' after expression (at offset 5)"),
+            (".5.5", "unexpected '.5' after expression (at offset 2)"),
+            ("1 , 2", "unexpected ',' after expression (at offset 2)"),
+            ("1e", "unexpected character 'e' (at offset 1)"),
+            ("foo", "unexpected character 'f' (at offset 0)"),
+            ("-[1,2]", "expected a number, an interval or '(' (at offset 0)"),
+            ("[5,3]", "invalid interval literal: lower bound exceeds upper bound: [5.0, 3.0] (at offset 0)"),
+            (
+                "[1e999, 2]",
+                "invalid interval literal: interval endpoints must be finite, got [inf, 2.0] (at offset 0)",
+            ),
+        ],
+    )
+    def test_error_messages_are_pinned(self, text, message):
+        with pytest.raises(GnSyntaxError) as exc_info:
+            parse_expression(text)
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("text, position", [("1+-\u00b2", 3), ("1+-.", 3), ("1 - -.x", 5), ("-.", 1)])
+    def test_minus_before_a_non_number_is_syntax_error(self, text, position):
+        # a '-' followed by a digit-like character or '.' that starts no number
+        with pytest.raises(GnSyntaxError) as exc_info:
+            parse_expression(text)
+        assert str(exc_info.value) == f"unexpected character {text[position]!r} (at offset {position})"
+
 
 class TestEval:
     def test_addition(self):
@@ -117,3 +162,14 @@ class TestRoundTrip:
     def test_example_round_trip(self):
         tree = parse_expression("2 * ([85,100] + [75,84])")
         assert parse_expression(format_expression(tree)) == tree
+
+    def test_deep_tree_round_trip(self):
+        # 5000 levels, nesting alternately on the left and on the right;
+        # compared as text because the generated __eq__ recurses
+        tree = lit(0.5)
+        for k in range(5000):
+            leaf = lit(k % 7, k % 7 + 1.25)
+            tree = BinaryOp("+", tree, leaf) if k % 2 else BinaryOp("-", leaf, tree)
+        text = format_expression(tree)
+        assert format_expression(parse_expression(text)) == text
+        assert calc(text) == eval_expression(tree)
