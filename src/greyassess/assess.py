@@ -101,10 +101,11 @@ class AssessmentReport:
 
 
 def mean_gn(dist: GradeDistribution, scale: GradeScale) -> GreyNumber:
-    """Count-weighted mean grey number (1/n) * sum(count_g * interval_g).
+    """Count-weighted mean grey number sum(count_g * interval_g) / n.
 
     Accumulation runs in scale order, so the result does not depend on the
-    mapping order of the distribution.
+    mapping order of the distribution. Each endpoint sum is divided once by
+    n, so a single-grade group whose sums are exact reproduces its interval.
     """
     n = _graded_count(dist, scale)
     # -0.0 is the exact additive identity; GreyNumber rejects an overflowed sum
@@ -114,8 +115,7 @@ def mean_gn(dist: GradeDistribution, scale: GradeScale) -> GreyNumber:
         if count:
             lower += count * gn.lower
             upper += count * gn.upper
-    k = 1.0 / n
-    return GreyNumber(k * lower, k * upper)
+    return GreyNumber(lower / n, upper / n)
 
 
 def assess(
@@ -128,8 +128,7 @@ def assess(
     mean = mean_gn(dist, scale)
     whitened = mean.whiten(t)
     grade = scale.classify(whitened)
-    full = GradeDistribution({label: dist.count(label) for label in scale.labels})
-    return AssessmentReport(group_id, dist.n, mean, whitened, grade, full, t, scale)
+    return AssessmentReport(group_id, dist.n, mean, whitened, grade, dist, t, scale)
 
 
 def scores_to_distribution(sheet: ScoreSheet, scale: GradeScale) -> GradeDistribution:
@@ -182,8 +181,7 @@ def compare_groups(
 
 
 def _graded_count(dist: GradeDistribution, scale: GradeScale) -> int:
-    known = set(scale.labels)
-    unknown = [label for label in dist.counts if label not in known]
+    unknown = dist.counts.keys() - scale.labels
     if unknown:
         raise UnknownGradeError(
             f"distribution uses grades not in the scale: {', '.join(sorted(unknown))}"
@@ -191,4 +189,8 @@ def _graded_count(dist: GradeDistribution, scale: GradeScale) -> int:
     n = dist.n
     if n == 0:
         raise ValueError("empty distribution: no graded objects")
+    try:
+        float(n)
+    except OverflowError:
+        raise ValueError("total count of the distribution is too large for a float") from None
     return n

@@ -50,9 +50,7 @@ def load_counts_csv(path: str | Path, scale: GradeScale) -> dict[str, GradeDistr
     """
     rows = _data_rows(path)
     _check_header(rows, COUNTS_HEADER)
-    known = set(scale.labels)
     raw_counts: dict[str, dict[str, int]] = {}
-    seen: set[tuple[str, str]] = set()
     for lineno, cells in rows:
         if len(cells) != 3:
             raise DataFormatError(
@@ -71,14 +69,14 @@ def load_counts_csv(path: str | Path, scale: GradeScale) -> dict[str, GradeDistr
             raise DataFormatError(
                 f"line {lineno}: count for {group},{grade} is too large for a float"
             ) from None
-        if grade not in known:
+        if grade not in scale.labels:
             raise DataFormatError(
                 f"line {lineno}: unknown grade {grade!r}; scale defines {', '.join(scale.labels)}"
             )
-        if (group, grade) in seen:
+        counts = raw_counts.setdefault(group, {})
+        if grade in counts:
             raise DataFormatError(f"line {lineno}: duplicate entry for group {group!r} grade {grade!r}")
-        seen.add((group, grade))
-        raw_counts.setdefault(group, {})[grade] = count
+        counts[grade] = count
     if not raw_counts:
         raise DataFormatError("no data rows found")
     return {
@@ -125,6 +123,4 @@ def load_scores_csv(path: str | Path, scale: GradeScale) -> ScoreSheet:
         scores_by_subject.setdefault(subject, []).append(score)
     if not scores_by_subject:
         raise DataFormatError("no data rows found")
-    return ScoreSheet(
-        tuple((subject, tuple(scores)) for subject, scores in scores_by_subject.items())
-    )
+    return ScoreSheet(scores_by_subject.items())

@@ -9,7 +9,7 @@ intervals (e.g. 84.5 between B [75, 84] and A [85, 100]) still classify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .grey import GreyNumber, IntervalError
@@ -39,15 +39,14 @@ class GradeScale:
     entries: tuple[tuple[str, GreyNumber], ...]
     domain_min: float = 0.0
     domain_max: float = 100.0
+    #: The grade labels in scale order, derived from ``entries``.
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple((str(l), gn) for l, gn in self.entries))
+        object.__setattr__(self, "labels", tuple(label for label, _ in self.entries))
         object.__setattr__(self, "domain_min", float(self.domain_min))
         object.__setattr__(self, "domain_max", float(self.domain_max))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.entries)
 
     def interval(self, label: str) -> GreyNumber:
         """The grey number registered for a grade label (case-sensitive)."""

@@ -100,6 +100,19 @@ class TestMeanGn:
         backward = GradeDistribution({"F": 1, "B": 3, "A": 2})
         assert mean_gn(forward, scale) == mean_gn(backward, scale)
 
+    @pytest.mark.parametrize("make_scale", [default_scale, strict_scale])
+    def test_single_grade_group_reproduces_interval_exactly(self, make_scale):
+        scale = make_scale()
+        for label, gn in scale.entries:
+            for n in range(1, 201):
+                assert mean_gn(GradeDistribution({label: n}), scale) == gn, (label, n)
+
+    def test_total_count_too_large_for_a_float(self, scale):
+        # each count converts to a float, their sum does not
+        dist = GradeDistribution({"A": 10**308, "B": 10**308})
+        with pytest.raises(ValueError, match="too large for a float"):
+            mean_gn(dist, scale)
+
     def test_zero_counts_ignored(self, scale):
         with_zero = GradeDistribution({"A": 2, "B": 0})
         without = GradeDistribution({"A": 2})
@@ -151,6 +164,22 @@ class TestAssess:
         report = assess(GradeDistribution({"A": 7}), scale)
         assert report.whitened == pytest.approx(92.5, abs=1e-9)
         assert report.grade == "A"
+
+    def test_ninety_one_excellent_whiten_to_the_top_at_t_one(self, scale):
+        report = assess(GradeDistribution({"A": 91}), scale, t=1)
+        assert report.whitened == 100.0
+        assert report.grade == "A"
+
+    def test_hundred_and_three_excellent_stay_excellent_at_t_zero(self, scale):
+        report = assess(GradeDistribution({"A": 103}), scale, t=0)
+        assert report.whitened == 85.0
+        assert report.grade == "A"
+
+    def test_partial_distribution_reports_every_label(self, scale):
+        dist = GradeDistribution({"A": 7})
+        report = assess(dist, scale)
+        assert report.distribution is dist
+        assert report.to_dict()["distribution"] == {"A": 7, "B": 0, "C": 0, "D": 0, "F": 0}
 
     def test_report_is_self_consistent(self, scale):
         rng = random.Random(9)

@@ -144,6 +144,14 @@ class TestAssessCommand:
         assert code == 1 and out == ""
         assert err == "error: line 3: count for G1,B is too large for a float\n"
 
+    def test_total_count_too_large_for_a_float_is_data_error(self, tmp_path):
+        counts = tmp_path / "counts.csv"
+        big = "1" + "0" * 308
+        counts.write_text(f"group,grade,count\nG1,A,{big}\nG1,B,{big}\n", encoding="utf-8")
+        code, out, err = run_process("assess", "--counts", str(counts), "--check-tfn")
+        assert code == 1 and out == ""
+        assert err == "error: total count of the distribution is too large for a float\n"
+
 
 class TestCompareCommand:
     def test_counts_ranking(self, capsys, counts_csv):

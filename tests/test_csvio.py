@@ -72,6 +72,11 @@ class TestLoadCounts:
         with pytest.raises(DataFormatError, match="duplicate"):
             load_counts_csv(path, scale)
 
+    def test_duplicate_after_other_groups_reports_its_line(self, tmp_path, scale):
+        path = write(tmp_path, "group,grade,count\nG1,A,3\nG2,A,4\nG2,B,1\nG1,A,5\n")
+        with pytest.raises(DataFormatError, match="line 5: duplicate entry for group 'G1' grade 'A'"):
+            load_counts_csv(path, scale)
+
     def test_malformed_row(self, tmp_path, scale):
         path = write(tmp_path, "group,grade,count\nG1,A\n")
         with pytest.raises(DataFormatError, match="line 2"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,6 +34,12 @@ class TestBuiltinScales:
     def test_five_grades(self):
         assert len(default_scale().entries) == 5
         assert default_scale().labels == ("A", "B", "C", "D", "F")
+
+    def test_replace_rederives_labels(self):
+        entries = (("X", GreyNumber(50, 100)), ("Y", GreyNumber(0, 49)))
+        scale = dataclasses.replace(default_scale(), entries=entries)
+        assert scale.labels == ("X", "Y")
+        assert scale == GradeScale(entries)
 
     def test_builtin_scales_are_valid(self):
         assert validate_scale(default_scale()) == []

@@ -69,6 +69,10 @@ class TestTfnMean:
         with pytest.raises(ValueError):
             tfn_mean(GradeDistribution({}), scale)
 
+    def test_total_count_too_large_for_a_float(self, scale):
+        with pytest.raises(ValueError, match="too large for a float"):
+            tfn_mean(GradeDistribution({"A": 10**308, "B": 10**308}), scale)
+
     def test_component_ordering_preserved(self, scale):
         rng = random.Random(29)
         for _ in range(200):
