@@ -8,7 +8,6 @@ precision.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -47,11 +46,13 @@ def _t_value(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scale", metavar="FILE", help="grade scale file (default: built-in A-F scale)")
-    common.add_argument("--t", type=_t_value, default=0.5, metavar="0..1",
-                        help="whitening parameter (default 0.5)")
-    common.add_argument("--format", choices=("text", "json"), default="text",
+    scale_file = argparse.ArgumentParser(add_help=False)
+    scale_file.add_argument("--scale", metavar="FILE", help="grade scale file (default: built-in A-F scale)")
+    whitening = argparse.ArgumentParser(add_help=False)
+    whitening.add_argument("--t", type=_t_value, default=0.5, metavar="0..1",
+                           help="whitening parameter (default 0.5)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
 
     parser = argparse.ArgumentParser(
@@ -60,24 +61,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_assess = sub.add_parser("assess", parents=[common],
+    p_assess = sub.add_parser("assess", parents=[scale_file, whitening, output],
                               help="assess groups from grade counts or raw scores")
+    p_assess.set_defaults(handler=_cmd_assess)
     src = p_assess.add_mutually_exclusive_group(required=True)
     src.add_argument("--counts", metavar="CSV", help="counts CSV (group,grade,count)")
     src.add_argument("--scores", metavar="CSV", help="scores CSV (subject,score)")
     p_assess.add_argument("--check-tfn", action="store_true",
                           help="also cross-check against the fuzzy-number route")
 
-    p_compare = sub.add_parser("compare", parents=[common],
+    p_compare = sub.add_parser("compare", parents=[scale_file, whitening, output],
                                help="rank groups by whitened mean value")
+    p_compare.set_defaults(handler=_cmd_compare)
     src = p_compare.add_mutually_exclusive_group(required=True)
     src.add_argument("--counts", metavar="CSV", help="counts CSV, one group per set of rows")
     src.add_argument("--scores", metavar="CSV", help="scores CSV, each subject ranked as a group")
 
-    sub.add_parser("validate-scale", parents=[common], help="check a scale file's invariants")
+    sub.add_parser("validate-scale", parents=[scale_file, output],
+                   help="check a scale file's invariants").set_defaults(handler=_cmd_validate_scale)
 
-    p_calc = sub.add_parser("calc", parents=[common],
+    p_calc = sub.add_parser("calc", parents=[output],
                             help="evaluate a grey-number expression, e.g. '[1,2] + 3 * [4,5]'")
+    p_calc.set_defaults(handler=_cmd_calc)
     p_calc.add_argument("expression", help="expression over intervals [a,b], numbers, + - * / ( )")
 
     return parser
@@ -141,7 +146,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
             entry = report.to_dict()
             entry.update(extras)
             if checks:
-                entry["tfn_check"] = dataclasses.asdict(checks[report.group_id])
+                entry["tfn_check"] = vars(checks[report.group_id])
             payload.append(entry)
         print(json.dumps(payload, indent=2))
     else:
@@ -212,16 +217,9 @@ def _cmd_calc(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "assess": _cmd_assess,
-        "compare": _cmd_compare,
-        "validate-scale": _cmd_validate_scale,
-        "calc": _cmd_calc,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,9 @@
 """CSV ingestion and emission for grade counts and raw score sheets.
 
-Both formats are plain comma-separated UTF-8 with a mandatory header and no
-quoting; lines starting with ``#`` and blank lines are ignored. Counts files
-carry ``group,grade,count`` rows, score files ``subject,score`` rows (one
-row per observation).
+Both formats are plain comma-separated UTF-8, after an optional byte order
+mark, with a mandatory header and no quoting; lines starting with ``#`` and
+blank lines are ignored. Counts files carry ``group,grade,count`` rows,
+score files ``subject,score`` rows (one row per observation).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from .assess import GradeDistribution, ScoreSheet
-from .scale import GradeScale
+from .scale import GradeScale, _lines, _read_text
 
 COUNTS_HEADER = ("group", "grade", "count")
 SCORES_HEADER = ("subject", "score")
@@ -22,20 +22,12 @@ class DataFormatError(ValueError):
     """A data file that cannot be parsed or fails validation."""
 
 
-def _data_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, [cell.strip() for cell in line.split(",")]
-
-
-def _check_header(rows: Iterator[tuple[int, list[str]]], expected: tuple[str, ...]) -> None:
+def _check_header(lines: Iterator[tuple[int, str]], expected: tuple[str, ...]) -> None:
     try:
-        lineno, cells = next(rows)
+        lineno, line = next(lines)
     except StopIteration:
         raise DataFormatError(f"empty file: expected header '{','.join(expected)}'") from None
+    cells = [cell.strip() for cell in line.split(",")]
     if tuple(cell.lower() for cell in cells) != expected:
         raise DataFormatError(
             f"line {lineno}: expected header '{','.join(expected)}', got '{','.join(cells)}'"
@@ -48,10 +40,11 @@ def load_counts_csv(path: str | Path, scale: GradeScale) -> dict[str, GradeDistr
     Grades missing from the file default to count 0; every distribution
     carries the full label set of the scale.
     """
-    rows = _data_rows(path)
-    _check_header(rows, COUNTS_HEADER)
+    lines = _lines(_read_text(path, DataFormatError))
+    _check_header(lines, COUNTS_HEADER)
     raw_counts: dict[str, dict[str, int]] = {}
-    for lineno, cells in rows:
+    for lineno, line in lines:
+        cells = [cell.strip() for cell in line.split(",")]
         if len(cells) != 3:
             raise DataFormatError(
                 f"line {lineno}: expected 'group,grade,count', got {','.join(cells)!r}"
@@ -102,10 +95,11 @@ def load_scores_csv(path: str | Path, scale: GradeScale) -> ScoreSheet:
     Duplicate scores for a subject are kept; every score must lie within
     the scale's score domain.
     """
-    rows = _data_rows(path)
-    _check_header(rows, SCORES_HEADER)
+    lines = _lines(_read_text(path, DataFormatError))
+    _check_header(lines, SCORES_HEADER)
     scores_by_subject: dict[str, list[float]] = {}
-    for lineno, cells in rows:
+    for lineno, line in lines:
+        cells = [cell.strip() for cell in line.split(",")]
         if len(cells) != 2:
             raise DataFormatError(
                 f"line {lineno}: expected 'subject,score', got {','.join(cells)!r}"

@@ -95,19 +95,18 @@ def _tokenize(text: str) -> list[tuple]:
     return tokens
 
 
-def _split_interval(tokens: list[tuple], i: int) -> tuple[tuple[str, str], int]:
-    """Endpoint texts of the literal the '[' token at ``tokens[i]`` opens, and the index after it.
+def _bracket_error(tokens: list[tuple], i: int) -> GnSyntaxError:
+    """The error for the '[' token at ``tokens[i]``: the first token out of place after it.
 
-    The tokenizer already joined every well-formed literal into one token,
-    so this finds the first token out of place and reports it.
+    The tokenizer joins every well-formed literal into one "interval" token,
+    so a '[' token opens none, and at the latest the "end" token is out of place.
     """
     for offset, (kind, what) in enumerate(
         (("number", "a number"), (",", "','"), ("number", "a number"), ("]", "']'")), start=1
     ):
         token = tokens[i + offset]
         if token[0] != kind:
-            raise GnSyntaxError(f"expected {what}", token[2])
-    return (tokens[i + 1][1], tokens[i + 3][1]), i + 5
+            return GnSyntaxError(f"expected {what}", token[2])
 
 
 def parse_expression(text: str) -> GnExpression:
@@ -129,15 +128,15 @@ def parse_expression(text: str) -> GnExpression:
         if kind == "number":
             number = float(value)
             operands.append(Literal(GreyNumber(number, number)))
-        else:
-            if kind == "[":
-                value, i = _split_interval(tokens, i - 1)
-            elif kind != "interval":
-                raise GnSyntaxError("expected a number, an interval or '('", position)
+        elif kind == "interval":
             try:
                 operands.append(Literal(GreyNumber(float(value[0]), float(value[1]))))
             except IntervalError as exc:
                 raise GnSyntaxError(f"invalid interval literal: {exc}", position) from None
+        elif kind == "[":
+            raise _bracket_error(tokens, i - 1)
+        else:
+            raise GnSyntaxError("expected a number, an interval or '('", position)
 
         # Then any closing parentheses, and a binary operator or the end.
         while True:

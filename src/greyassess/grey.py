@@ -64,11 +64,12 @@ class GreyNumber:
 
         t must lie in [0, 1]; t=0 gives the lower endpoint, t=1 the upper.
         The default t=1/2 (the midpoint) is the choice when nothing is known
-        about the distribution inside the interval.
+        about the distribution inside the interval. The result is clamped
+        into [lower, upper], which rounding can otherwise leave by one ulp.
         """
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"whitening parameter must be in [0, 1], got {t}")
-        return (1.0 - t) * self.lower + t * self.upper
+        return min(max((1.0 - t) * self.lower + t * self.upper, self.lower), self.upper)
 
     def scale(self, k: float) -> GreyNumber:
         """Multiply by a positive real scalar: k*[a, b] = [k*a, k*b].

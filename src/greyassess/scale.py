@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .grey import GreyNumber, IntervalError
 
@@ -163,10 +164,7 @@ def parse_scale_text(text: str) -> GradeScale:
     entries: list[tuple[str, GreyNumber]] = []
     domain = (0.0, 100.0)
     domain_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         parts = line.split()
         if parts[0] == "domain":
             if entries or domain_seen:
@@ -194,6 +192,32 @@ def parse_scale_text(text: str) -> GradeScale:
     return GradeScale(tuple(entries), domain[0], domain[1])
 
 
+def _read_text(path: str | Path, error: type[ValueError]) -> str:
+    """The file's text: UTF-8 after an optional byte order mark.
+
+    Bytes that are not UTF-8 raise ``error`` naming the file and the line,
+    numbered as :func:`_lines` numbers them.
+    """
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.start indexes exc.object, which has the byte order mark stripped
+        before = exc.object[: exc.start].decode("utf-8")
+        lineno = len((before + "?").splitlines())  # "?" stands for the bad byte
+        raise error(
+            f"{path}: line {lineno}: not valid UTF-8 at byte "
+            f"0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from None
+
+
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each stripped line that is neither blank nor a ``#`` comment, with its number from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def _parse_num(cell: str, lineno: int) -> float:
     try:
         return float(cell)
@@ -216,7 +240,7 @@ def _num(x: float) -> str:
 
 
 def read_scale_file(path: str | Path) -> GradeScale:
-    return parse_scale_text(Path(path).read_text(encoding="utf-8"))
+    return parse_scale_text(_read_text(path, ScaleFormatError))
 
 
 def write_scale_file(scale: GradeScale, path: str | Path) -> None:

@@ -128,6 +128,34 @@ class TestAssessCommand:
         assert code == 1
         assert "invalid scale" in err
 
+    def test_point_grade_whitens_inside_its_interval(self, capsys, tmp_path):
+        scale_file = tmp_path / "point.txt"
+        scale_file.write_text("domain 0 84\nA 84 84\nB 0 83\n", encoding="utf-8")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("group,grade,count\nG1,A,3\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "assess", "--counts", str(counts), "--scale", str(scale_file), "--t", "0.1"
+        )
+        assert code == 0 and err == ""
+        assert out == "G1: mean=[84.00, 84.00] whitened=84.00 grade=A n=3 (A:3 B:0)\n"
+
+    def test_byte_order_marks(self, capsys, counts_csv, tmp_path):
+        scale_file = tmp_path / "scale.txt"
+        scale_file.write_bytes(b"\xef\xbb\xbfA 85 100\nB 75 84\nC 60 74\nD 50 59\nF 0 49\n")
+        counts = tmp_path / "counts.csv"
+        counts.write_bytes(b"\xef\xbb\xbf" + counts_csv.read_bytes())
+        plain = run(capsys, "assess", "--counts", str(counts_csv))
+        assert run(capsys, "assess", "--counts", str(counts), "--scale", str(scale_file)) == plain
+
+    def test_invalid_utf8_error_names_the_file(self, capsys, counts_csv, tmp_path):
+        scale_file = tmp_path / "scale.txt"
+        scale_file.write_bytes(b"A 85 100\nB 75 84\nC 60 74 \xff\nD 50 59\nF 0 49\n")
+        code, out, err = run(
+            capsys, "assess", "--counts", str(counts_csv), "--scale", str(scale_file)
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {scale_file}: line 3: not valid UTF-8 at byte 0xff (invalid start byte)\n"
+
     def test_overflowing_mean_is_data_error(self, capsys, tmp_path):
         scale_file = tmp_path / "huge.txt"
         scale_file.write_text("domain 0 1.7e308\nA 1e308 1.7e308\nF 0 9e307\n", encoding="utf-8")
@@ -259,6 +287,16 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc_info:
             main([])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["calc", "--scale", "x", "1"], ["calc", "--t", "2", "1"], ["validate-scale", "--t", "0.5"]],
+    )
+    def test_option_of_another_subcommand_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

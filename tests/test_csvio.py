@@ -125,6 +125,36 @@ class TestLoadScores:
             load_scores_csv(path, scale)
 
 
+class TestEncoding:
+    def test_byte_order_mark_before_counts_header(self, tmp_path, scale):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfgroup,grade,count\nG1,A,3\n")
+        assert load_counts_csv(path, scale)["G1"].count("A") == 3
+
+    def test_byte_order_mark_before_scores_header(self, tmp_path, scale):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfsubject,score\nP1,50\n")
+        assert load_scores_csv(path, scale).subjects == (("P1", (50.0,)),)
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, scale):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"group,grade,count\nG1,A,\xff3\n")
+        with pytest.raises(DataFormatError) as exc_info:
+            load_counts_csv(path, scale)
+        assert str(exc_info.value) == (
+            f"{path}: line 2: not valid UTF-8 at byte 0xff (invalid start byte)"
+        )
+
+    def test_invalid_utf8_after_byte_order_mark_counts_lines_of_the_text(self, tmp_path, scale):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xef\xbb\xbfsubject,score\r\nP1,50\r\nP1,\xc3(\r\n")
+        with pytest.raises(DataFormatError) as exc_info:
+            load_scores_csv(path, scale)
+        assert str(exc_info.value) == (
+            f"{path}: line 3: not valid UTF-8 at byte 0xc3 (invalid continuation byte)"
+        )
+
+
 class TestShippedData:
     # the sample files under data/ must stay loadable and true to the
     # documented walkthrough

@@ -134,6 +134,10 @@ class TestWhiten:
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert GreyNumber(4, 4).whiten(t) == pytest.approx(4.0, abs=1e-12)
 
+    def test_point_interval_whitens_to_itself(self):
+        # (1 - 0.1) * 84 + 0.1 * 84 rounds to 84.00000000000001
+        assert GreyNumber(84, 84).whiten(0.1) == 84.0
+
     def test_default_is_midpoint(self):
         assert GreyNumber(1, 3).whiten() == 2.0
 

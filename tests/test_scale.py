@@ -183,6 +183,20 @@ class TestScaleFiles:
         write_scale_file(strict_scale(), path)
         assert read_scale_file(path) == strict_scale()
 
+    def test_byte_order_mark_stripped(self, tmp_path):
+        path = tmp_path / "scale.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + format_scale_text(strict_scale()).encode())
+        assert read_scale_file(path).labels == ("A", "B", "C", "D", "F")
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "scale.txt"
+        path.write_bytes(b"\xef\xbb\xbf# grades\n\nA 85 100 \xff\nF 0 84\n")
+        with pytest.raises(ScaleFormatError) as exc_info:
+            read_scale_file(path)
+        assert str(exc_info.value) == (
+            f"{path}: line 3: not valid UTF-8 at byte 0xff (invalid start byte)"
+        )
+
     def test_wrong_field_count(self):
         with pytest.raises(ScaleFormatError, match="line 2"):
             parse_scale_text("A 85 100\nB 75\n")
