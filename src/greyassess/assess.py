@@ -147,18 +147,14 @@ def scores_to_distribution(sheet: ScoreSheet, scale: GradeScale) -> GradeDistrib
 def raw_mean(sheet: ScoreSheet) -> float:
     """Arithmetic mean of all pooled scores."""
     scores = sheet.all_scores()
-    if not scores:
-        raise ValueError("score sheet has no scores")
     return sum(scores) / len(scores)
 
 
-def compare_groups(
-    reports: Sequence[AssessmentReport], tie_tolerance: float = TIE_TOLERANCE
-) -> list[list[AssessmentReport]]:
+def compare_groups(reports: Sequence[AssessmentReport]) -> list[list[AssessmentReport]]:
     """Rank reports by whitened value, best first.
 
     Returns tie groups: each inner list holds the reports whose whitened
-    values lie within ``tie_tolerance`` of its first, best report. All
+    values lie within ``TIE_TOLERANCE`` of its first, best report. All
     reports must share the same scale and whitening parameter.
     """
     if not reports:
@@ -173,7 +169,7 @@ def compare_groups(
     ordered = sorted(reports, key=lambda r: -r.whitened)
     groups: list[list[AssessmentReport]] = [[ordered[0]]]
     for report in ordered[1:]:
-        if abs(groups[-1][0].whitened - report.whitened) < tie_tolerance:
+        if abs(groups[-1][0].whitened - report.whitened) < TIE_TOLERANCE:
             groups[-1].append(report)
         else:
             groups.append([report])

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import zip_longest
 from typing import Sequence
 
 from .assess import (
@@ -100,60 +101,54 @@ def _load_scale(args: argparse.Namespace) -> GradeScale:
     return scale
 
 
-def _distribution_text(report: AssessmentReport) -> str:
-    return " ".join(f"{label}:{report.distribution.count(label)}" for label in report.scale.labels)
-
-
-def _report_line(report: AssessmentReport) -> str:
-    return (
-        f"{report.group_id}: mean={_gn2(report.mean_gn)} whitened={_round2(report.whitened)} "
-        f"grade={report.grade} n={report.n} ({_distribution_text(report)})"
-    )
-
-
-def _tfn_line(group_id: str, check) -> str:
-    verdict = "PASS" if check.passed else "FAIL"
-    return (
-        f"{group_id}: tfn-equivalence {verdict} "
-        f"(difference {check.difference:.1e}, tolerance {EQUIVALENCE_TOLERANCE:g})"
-    )
-
-
-def _assess_counts(args: argparse.Namespace, scale: GradeScale) -> list[AssessmentReport]:
-    groups = load_counts_csv(args.counts, scale)
-    return [assess(dist, scale, args.t, group_id=g) for g, dist in groups.items()]
+def _reports(
+    args: argparse.Namespace, scale: GradeScale, pool_scores: bool
+) -> tuple[list[AssessmentReport], ScoreSheet | None]:
+    """Assess the input file: one report per counts group, and for a scores
+    sheet one pooled "all" report or one report per subject. The sheet is
+    returned too, so its raw scores are read only once."""
+    sheet = None
+    if args.counts:
+        groups = load_counts_csv(args.counts, scale).items()
+    else:
+        sheet = load_scores_csv(args.scores, scale)
+        if pool_scores:
+            groups = [("all", scores_to_distribution(sheet, scale))]
+        else:
+            groups = (
+                (subject, scores_to_distribution(ScoreSheet(((subject, scores),)), scale))
+                for subject, scores in sheet.subjects
+            )
+    return [assess(dist, scale, args.t, group_id=group) for group, dist in groups], sheet
 
 
 def _cmd_assess(args: argparse.Namespace) -> int:
     scale = _load_scale(args)
+    reports, sheet = _reports(args, scale, pool_scores=True)
     extras: dict[str, float] = {}
-    if args.counts:
-        reports = _assess_counts(args, scale)
-    else:
-        sheet = load_scores_csv(args.scores, scale)
-        dist = scores_to_distribution(sheet, scale)
-        report = assess(dist, scale, args.t, group_id="all")
+    if sheet is not None:
         extras["raw_mean"] = raw_mean(sheet)
-        extras["difference"] = extras["raw_mean"] - report.whitened
-        reports = [report]
-
-    checks = {r.group_id: check_equivalence(r.distribution, scale) for r in reports} \
-        if args.check_tfn else {}
+        extras["difference"] = extras["raw_mean"] - reports[0].whitened
+    checks = [check_equivalence(r.distribution, scale) for r in reports] if args.check_tfn else []
 
     if args.format == "json":
-        payload = []
-        for report in reports:
-            entry = report.to_dict()
-            entry.update(extras)
-            if checks:
-                entry["tfn_check"] = vars(checks[report.group_id])
-            payload.append(entry)
+        payload = [{**report.to_dict(), **extras} for report in reports]
+        for entry, check in zip(payload, checks):
+            entry["tfn_check"] = vars(check)
         print(json.dumps(payload, indent=2))
     else:
-        for report in reports:
-            print(_report_line(report))
-            if checks:
-                print(_tfn_line(report.group_id, checks[report.group_id]))
+        for report, check in zip_longest(reports, checks):
+            counts = " ".join(f"{label}:{report.distribution.count(label)}" for label in scale.labels)
+            print(
+                f"{report.group_id}: mean={_gn2(report.mean_gn)} whitened={_round2(report.whitened)} "
+                f"grade={report.grade} n={report.n} ({counts})"
+            )
+            if check is not None:
+                verdict = "PASS" if check.passed else "FAIL"
+                print(
+                    f"{report.group_id}: tfn-equivalence {verdict} "
+                    f"(difference {check.difference:.1e}, tolerance {EQUIVALENCE_TOLERANCE:g})"
+                )
         if extras:
             print(
                 f"raw mean {_round2(extras['raw_mean'])}, "
@@ -163,16 +158,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    scale = _load_scale(args)
-    if args.counts:
-        reports = _assess_counts(args, scale)
-    else:
-        sheet = load_scores_csv(args.scores, scale)
-        reports = []
-        for subject, scores in sheet.subjects:
-            dist = scores_to_distribution(ScoreSheet(((subject, scores),)), scale)
-            reports.append(assess(dist, scale, args.t, group_id=subject))
-
+    reports, _ = _reports(args, _load_scale(args), pool_scores=False)
     ranked: list[tuple[int, str, AssessmentReport]] = []
     rank = 1
     for group in compare_groups(reports):

@@ -12,15 +12,17 @@ A bare number x denotes the white number [x, x]. A '-' directly followed by
 a digit starts a negative number literal when it cannot be a binary minus
 (start of input, or right after an operator, '(', '[' or ',').
 
-Parsing, evaluation and formatting keep their work on explicit stacks, so
-nesting depth and expression length are limited only by memory.
+Parsing, evaluation and formatting keep their work on explicit stacks, and
+parse trees compare, hash and print without recursion, so nesting depth and
+expression length are limited only by memory.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from itertools import zip_longest
+from typing import Iterator, Union
 
 from .grey import GreyNumber, IntervalError, ZeroDivisorError
 
@@ -38,11 +40,54 @@ class Literal:
     value: GreyNumber
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinaryOp:
+    """``left op right``. Equality, hash and repr are those a frozen
+    dataclass generates, computed without recursion so that a tree of any
+    depth has them."""
+
     op: str  # one of + - * /
     left: GnExpression
     right: GnExpression
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # a post-order node sequence decodes to exactly one tree
+        for a, b in zip_longest(_postorder(self), _postorder(other)):
+            if a.__class__ is not b.__class__:
+                return False
+            if isinstance(a, BinaryOp):
+                if a.op != b.op:
+                    return False
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        hashes: list[int] = []
+        for node in _postorder(self):
+            if isinstance(node, BinaryOp):
+                right = hashes.pop()
+                hashes[-1] = hash((node.op, hashes[-1], right))
+            else:
+                hashes.append(hash(node))
+        return hashes[0]
+
+    def __repr__(self) -> str:
+        # pieces in text order, as format_expression does: joining texts
+        # bottom-up would copy a deep tree's text once per level
+        parts: list[str] = []
+        pending: list[GnExpression | str] = [self]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif isinstance(item, BinaryOp):
+                pending += (")", item.right, ", right=", item.left, f"BinaryOp(op={item.op!r}, left=")
+            else:
+                parts.append(repr(item))
+        return "".join(parts)
 
 
 GnExpression = Union[Literal, BinaryOp]
@@ -173,30 +218,37 @@ def eval_expression(expression: GnExpression) -> GreyNumber:
     operations the first in that post-order is reported.
     """
     values: list[GreyNumber] = []
+    for node in _postorder(expression):
+        if isinstance(node, Literal):
+            values.append(node.value)
+            continue
+        right = values.pop()
+        left = values[-1]
+        if node.op == "+":
+            values[-1] = left + right
+        elif node.op == "-":
+            values[-1] = left - right
+        elif node.op == "*":
+            values[-1] = left * right
+        else:
+            try:
+                values[-1] = left / right
+            except ZeroDivisorError:
+                raise ZeroDivisorError(
+                    f"division by interval containing zero in {format_expression(node)}"
+                ) from None
+    return values[0]
+
+
+def _postorder(expression: GnExpression) -> Iterator[GnExpression]:
+    """Every node of the tree after its operands, the left operand first."""
     pending: list[tuple[GnExpression, bool]] = [(expression, False)]
     while pending:
-        node, operands_ready = pending.pop()
-        if operands_ready:
-            right = values.pop()
-            left = values[-1]
-            if node.op == "+":
-                values[-1] = left + right
-            elif node.op == "-":
-                values[-1] = left - right
-            elif node.op == "*":
-                values[-1] = left * right
-            else:
-                try:
-                    values[-1] = left / right
-                except ZeroDivisorError:
-                    raise ZeroDivisorError(
-                        f"division by interval containing zero in {format_expression(node)}"
-                    ) from None
-        elif isinstance(node, Literal):
-            values.append(node.value)
+        node, operands_done = pending.pop()
+        if operands_done or isinstance(node, Literal):
+            yield node
         else:
             pending += ((node, True), (node.right, False), (node.left, False))
-    return values[0]
 
 
 def calc(text: str) -> GreyNumber:

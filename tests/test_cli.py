@@ -109,6 +109,12 @@ class TestAssessCommand:
             main(["assess", "--counts", str(counts_csv), "--t", "1.5"])
         assert exc_info.value.code == 2
 
+    def test_t_not_a_number_is_usage_error(self, capsys, counts_csv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["assess", "--counts", str(counts_csv), "--t", "abc"])
+        assert exc_info.value.code == 2
+        assert "not a number: 'abc'" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "assess", "--counts", str(tmp_path / "absent.csv"))
         assert code == 1
@@ -231,6 +237,13 @@ class TestValidateScaleCommand:
         scale_file.write_text("A eighty 100\n", encoding="utf-8")
         code, _, err = run(capsys, "validate-scale", "--scale", str(scale_file))
         assert code == 1 and "error:" in err
+
+    def test_empty_domain_is_a_violation(self, capsys, tmp_path):
+        scale_file = tmp_path / "point.txt"
+        scale_file.write_text("domain 5 5\nA 5 5\nB 5 5\n", encoding="utf-8")
+        code, out, _ = run(capsys, "validate-scale", "--scale", str(scale_file))
+        assert code == 1
+        assert "violation: score domain is empty: [5, 5]" in out
 
 
 class TestCalcCommand:

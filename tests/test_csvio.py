@@ -124,6 +124,16 @@ class TestLoadScores:
         with pytest.raises(DataFormatError, match="empty file"):
             load_scores_csv(path, scale)
 
+    def test_header_only(self, tmp_path, scale):
+        path = write(tmp_path, "subject,score\n")
+        with pytest.raises(DataFormatError, match="no data rows found"):
+            load_scores_csv(path, scale)
+
+    def test_malformed_row(self, tmp_path, scale):
+        path = write(tmp_path, "subject,score\nP1,50\nP1,60,70\n")
+        with pytest.raises(DataFormatError, match="line 3: expected 'subject,score'"):
+            load_scores_csv(path, scale)
+
 
 class TestEncoding:
     def test_byte_order_mark_before_counts_header(self, tmp_path, scale):

@@ -173,3 +173,54 @@ class TestRoundTrip:
         text = format_expression(tree)
         assert format_expression(parse_expression(text)) == text
         assert calc(text) == eval_expression(tree)
+
+
+def _deep_tree(depth, innermost=0.5):
+    tree = lit(innermost)
+    for k in range(depth):
+        leaf = lit(k % 7, k % 7 + 1.25)
+        tree = BinaryOp("+", tree, leaf) if k % 2 else BinaryOp("-", leaf, tree)
+    return tree
+
+
+class TestTreeIdentity:
+    def test_deep_trees_compare_hash_and_print(self):
+        tree = _deep_tree(5000)
+        same = parse_expression(format_expression(tree))
+        assert same == tree
+        assert hash(same) == hash(tree)
+        assert repr(same) == repr(tree)
+        assert repr(tree).startswith("BinaryOp(op='+', left=BinaryOp(op='-', left=Literal(")
+        assert _deep_tree(5000, innermost=0.25) != tree
+        assert BinaryOp("-", tree.left, tree.right) != tree
+        assert _deep_tree(4999) != tree
+
+    def test_long_sum_compares_and_hashes(self):
+        text = " + ".join(["[1, 2]"] * 3000)
+        assert parse_expression(text) == parse_expression(text)
+        assert hash(parse_expression(text)) == hash(parse_expression(text))
+
+    def test_small_tree_repr_is_pinned(self):
+        assert repr(parse_expression("2 * ([85,100] - -0.5) / 3")) == (
+            "BinaryOp(op='/', left=BinaryOp(op='*', "
+            "left=Literal(value=GreyNumber(lower=2.0, upper=2.0)), "
+            "right=BinaryOp(op='-', left=Literal(value=GreyNumber(lower=85.0, upper=100.0)), "
+            "right=Literal(value=GreyNumber(lower=-0.5, upper=-0.5)))), "
+            "right=Literal(value=GreyNumber(lower=3.0, upper=3.0)))"
+        )
+
+    def test_literals_compare_as_floats(self):
+        assert parse_expression("-0.0 + [1, 2]") == parse_expression("0 + [1, 2]")
+        assert hash(parse_expression("-0.0 + [1, 2]")) == hash(parse_expression("0 + [1, 2]"))
+
+    @pytest.mark.parametrize("left, right", [
+        ("1 + 2", "1 - 2"),
+        ("(1 + 2) + 3", "1 + (2 + 3)"),
+        ("1 + 2", "1"),
+        ("1 + 2", "1 + [2, 3]"),
+        ("1 + 2", "3 + 2"),
+    ])
+    def test_different_trees_are_unequal(self, left, right):
+        assert parse_expression(left) != parse_expression(right)
+        assert parse_expression(right) != parse_expression(left)
+        assert hash(parse_expression(left)) != hash(parse_expression(right))

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -95,6 +96,13 @@ class TestArithmetic:
         assert 10 / GreyNumber(2, 5) == GreyNumber(2, 5)
         # negative factors flip via white-number multiplication
         assert -1 * gn == GreyNumber(-5, -3)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_non_numbers_do_not_coerce(self, op):
+        with pytest.raises(TypeError):
+            op(GreyNumber(1, 2), "x")
+        with pytest.raises(TypeError):
+            op("x", GreyNumber(1, 2))
 
 
 class TestScalarMul:

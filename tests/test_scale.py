@@ -213,6 +213,10 @@ class TestScaleFiles:
         with pytest.raises(ScaleFormatError, match="domain line"):
             parse_scale_text("A 50 100\ndomain 0 100\n")
 
+    def test_domain_line_needs_two_bounds(self):
+        with pytest.raises(ScaleFormatError, match="line 1: expected 'domain <min> <max>'"):
+            parse_scale_text("domain 0\nA 50 100\nF 0 49\n")
+
     def test_empty_file(self):
         with pytest.raises(ScaleFormatError, match="no grade entries"):
             parse_scale_text("# nothing here\n")
