@@ -59,7 +59,7 @@ class ScoreSheet:
 
     def __post_init__(self) -> None:
         normalized = tuple(
-            (str(subject), tuple(float(s) for s in scores)) for subject, scores in self.subjects
+            (str(subject), tuple(map(float, scores))) for subject, scores in self.subjects
         )
         if not normalized:
             raise ValueError("score sheet has no subjects")

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import zip_longest
-from typing import Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Sequence
 
 from .assess import (
     AssessmentReport,
@@ -34,6 +36,48 @@ def _round2(x: float) -> str:
 
 def _gn2(gn) -> str:
     return f"[{_round2(gn.lower)}, {_round2(gn.upper)}]"
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it, for dicts with str
+    keys, lists, str, int, bool and finite floats; anything else raises
+    TypeError, and a non-finite float ValueError. ``indent`` is the line
+    break and indentation of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()
+        ) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _print_json_list(entries: Iterable) -> None:
+    """Print ``json.dumps(list(entries), indent=2)``, writing each entry
+    before the next is drawn, so neither the list nor its text is held."""
+    out = sys.stdout
+    sep = "[\n  "
+    for entry in entries:
+        out.write(sep + _json_text(entry, "\n  "))
+        sep = ",\n  "
+    out.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
 def _t_value(text: str) -> float:
@@ -132,10 +176,10 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     checks = [check_equivalence(r.distribution, scale) for r in reports] if args.check_tfn else []
 
     if args.format == "json":
-        payload = [{**report.to_dict(), **extras} for report in reports]
-        for entry, check in zip(payload, checks):
-            entry["tfn_check"] = vars(check)
-        print(json.dumps(payload, indent=2))
+        _print_json_list(
+            {**report.to_dict(), **extras, **({} if check is None else {"tfn_check": vars(check)})}
+            for report, check in zip_longest(reports, checks)
+        )
     else:
         for report, check in zip_longest(reports, checks):
             counts = " ".join(f"{label}:{report.distribution.count(label)}" for label in scale.labels)
@@ -166,8 +210,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ranked.extend((rank, tied, report) for report in group)
         rank += len(group)
     if args.format == "json":
-        payload = [{"rank": rank, **report.to_dict()} for rank, _, report in ranked]
-        print(json.dumps(payload, indent=2))
+        _print_json_list({"rank": rank, **report.to_dict()} for rank, _, report in ranked)
     else:
         for rank, tied, report in ranked:
             print(
@@ -181,7 +224,7 @@ def _cmd_validate_scale(args: argparse.Namespace) -> int:
     scale = _read_scale(args)
     violations = scale.validate()
     if args.format == "json":
-        print(json.dumps({"valid": not violations, "violations": violations}, indent=2))
+        print(_json_text({"valid": not violations, "violations": violations}))
     elif violations:
         for violation in violations:
             print(f"violation: {violation}")

@@ -315,3 +315,37 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc_info:
             main(["frobnicate"])
         assert exc_info.value.code == 2
+
+
+def indent2(out):
+    """``out`` re-encoded as ``json.dumps(..., indent=2)`` prints it."""
+    return json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class TestJsonBytes:
+    def test_validate_scale_with_non_ascii_label(self, capsys, tmp_path):
+        scale_file = tmp_path / "accented.txt"
+        scale_file.write_text("Á 85 100\nB 80 90\nÁ 0 10\n", encoding="utf-8")
+        code, out, err = run(capsys, "validate-scale", "--scale", str(scale_file), "--format", "json")
+        assert code == 1 and err == ""
+        assert out == indent2(out)
+        assert "\\u00c1" in out and "Á" not in out
+        assert json.loads(out) == {
+            "valid": False,
+            "violations": [
+                "duplicate grade label 'Á'",
+                "grades 'Á' and 'B' overlap: [85, 100] vs [80, 90]",
+            ],
+        }
+
+    @pytest.mark.parametrize("argv", [["assess"], ["assess", "--check-tfn"], ["compare"]])
+    def test_non_ascii_group_id(self, capsys, tmp_path, argv):
+        counts = tmp_path / "groups.csv"
+        counts.write_text(
+            "group,grade,count\nGrupa Żółw,A,3\nGrupa Żółw,B,2\nG2,C,4\n", encoding="utf-8"
+        )
+        code, out, err = run(capsys, *argv, "--counts", str(counts), "--format", "json")
+        assert code == 0 and err == ""
+        assert out == indent2(out)
+        assert '"group": "Grupa \\u017b\\u00f3\\u0142w"' in out
+        assert [entry["group"] for entry in json.loads(out)] == ["Grupa Żółw", "G2"]
