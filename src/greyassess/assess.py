@@ -10,7 +10,7 @@ classifying every score into a grade distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .grey import GreyNumber
 from .scale import GradeScale, OutOfDomainError, UnknownGradeError
@@ -135,13 +135,25 @@ def scores_to_distribution(sheet: ScoreSheet, scale: GradeScale) -> GradeDistrib
     """Pool every subject's scores and classify each into a grade count."""
     counts = {label: 0 for label in scale.labels}
     for subject, scores in sheet.subjects:
-        for score in scores:
-            try:
-                grade = scale.classify(score)
-            except OutOfDomainError as exc:
-                raise OutOfDomainError(f"subject {subject!r}: {exc}") from None
-            counts[grade] += 1
+        _count_grades(subject, scores, scale, counts)
     return GradeDistribution(counts)
+
+
+def _count_grades(
+    subject: str, scores: Iterable[float], scale: GradeScale, counts: dict[str, int]
+) -> dict[str, int]:
+    """Add one subject's scores to ``counts`` by grade and return ``counts``.
+
+    ``counts`` must hold every label of the scale. An out-of-domain score
+    raises naming the subject.
+    """
+    for score in scores:
+        try:
+            grade = scale.classify(score)
+        except OutOfDomainError as exc:
+            raise OutOfDomainError(f"subject {subject!r}: {exc}") from None
+        counts[grade] += 1
+    return counts
 
 
 def raw_mean(sheet: ScoreSheet) -> float:

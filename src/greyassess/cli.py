@@ -18,7 +18,9 @@ from typing import Iterable, Sequence
 
 from .assess import (
     AssessmentReport,
+    GradeDistribution,
     ScoreSheet,
+    _count_grades,
     assess,
     compare_groups,
     raw_mean,
@@ -159,8 +161,9 @@ def _reports(
         if pool_scores:
             groups = [("all", scores_to_distribution(sheet, scale))]
         else:
+            zeros = dict.fromkeys(scale.labels, 0)
             groups = (
-                (subject, scores_to_distribution(ScoreSheet(((subject, scores),)), scale))
+                (subject, GradeDistribution(_count_grades(subject, scores, scale, zeros.copy())))
                 for subject, scores in sheet.subjects
             )
     return [assess(dist, scale, args.t, group_id=group) for group, dist in groups], sheet

@@ -34,6 +34,11 @@ def _check_header(lines: Iterator[tuple[int, str]], expected: tuple[str, ...]) -
         )
 
 
+def _stripped_cells(line: str) -> str:
+    """``line`` with each comma-separated cell stripped."""
+    return ",".join(cell.strip() for cell in line.split(","))
+
+
 def load_counts_csv(path: str | Path, scale: GradeScale) -> dict[str, GradeDistribution]:
     """One grade distribution per group, in first-appearance order.
 
@@ -42,14 +47,20 @@ def load_counts_csv(path: str | Path, scale: GradeScale) -> dict[str, GradeDistr
     """
     lines = _lines(_read_text(path, DataFormatError))
     _check_header(lines, COUNTS_HEADER)
+    labels = scale.labels
     raw_counts: dict[str, dict[str, int]] = {}
+    get_counts = raw_counts.get
     for lineno, line in lines:
-        cells = [cell.strip() for cell in line.split(",")]
+        # the line is stripped, so only the inner side of an outer cell is padded
+        cells = line.split(",")
         if len(cells) != 3:
             raise DataFormatError(
-                f"line {lineno}: expected 'group,grade,count', got {','.join(cells)!r}"
+                f"line {lineno}: expected 'group,grade,count', got {_stripped_cells(line)!r}"
             )
         group, grade, count_text = cells
+        group = group.rstrip()
+        grade = grade.strip()
+        count_text = count_text.lstrip()
         try:
             count = int(count_text)
         except ValueError:
@@ -62,18 +73,21 @@ def load_counts_csv(path: str | Path, scale: GradeScale) -> dict[str, GradeDistr
             raise DataFormatError(
                 f"line {lineno}: count for {group},{grade} is too large for a float"
             ) from None
-        if grade not in scale.labels:
+        if grade not in labels:
             raise DataFormatError(
-                f"line {lineno}: unknown grade {grade!r}; scale defines {', '.join(scale.labels)}"
+                f"line {lineno}: unknown grade {grade!r}; scale defines {', '.join(labels)}"
             )
-        counts = raw_counts.setdefault(group, {})
-        if grade in counts:
+        counts = get_counts(group)
+        if counts is None:
+            raw_counts[group] = {grade: count}
+        elif grade in counts:
             raise DataFormatError(f"line {lineno}: duplicate entry for group {group!r} grade {grade!r}")
-        counts[grade] = count
+        else:
+            counts[grade] = count
     if not raw_counts:
         raise DataFormatError("no data rows found")
     return {
-        group: GradeDistribution({label: counts.get(label, 0) for label in scale.labels})
+        group: GradeDistribution({label: counts.get(label, 0) for label in labels})
         for group, counts in raw_counts.items()
     }
 
@@ -81,12 +95,28 @@ def load_counts_csv(path: str | Path, scale: GradeScale) -> dict[str, GradeDistr
 def dump_counts_csv(
     groups: Mapping[str, GradeDistribution], path: str | Path, scale: GradeScale
 ) -> None:
-    """Write groups back out; loading the result reproduces them exactly."""
+    """Write groups back out; loading the result reproduces them exactly.
+
+    A group id or grade label that would not load back as itself raises
+    ValueError before anything is written: one holding a comma or a line
+    break, padded with whitespace, or, for a group id, starting with ``#``.
+    """
+    for label in scale.labels:
+        if not _loads_back(label):
+            raise ValueError(f"grade label {label!r} cannot be written to a counts CSV")
+    for group in groups:
+        if not _loads_back(group) or group.startswith("#"):
+            raise ValueError(f"group id {group!r} cannot be written to a counts CSV")
     lines = [",".join(COUNTS_HEADER)]
     for group, dist in groups.items():
         for label in scale.labels:
             lines.append(f"{group},{label},{dist.count(label)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _loads_back(cell: str) -> bool:
+    """Whether ``cell`` reads back as itself from a cell of a loaded line."""
+    return "," not in cell and cell == cell.strip() and "".join(cell.splitlines()) == cell
 
 
 def load_scores_csv(path: str | Path, scale: GradeScale) -> ScoreSheet:
@@ -97,24 +127,33 @@ def load_scores_csv(path: str | Path, scale: GradeScale) -> ScoreSheet:
     """
     lines = _lines(_read_text(path, DataFormatError))
     _check_header(lines, SCORES_HEADER)
+    domain_min, domain_max = scale.domain_min, scale.domain_max
     scores_by_subject: dict[str, list[float]] = {}
+    get_scores = scores_by_subject.get
     for lineno, line in lines:
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != 2:
+        # the line is stripped, so only the inner side of each cell is padded
+        subject, comma, score_text = line.partition(",")
+        if not comma or "," in score_text:
             raise DataFormatError(
-                f"line {lineno}: expected 'subject,score', got {','.join(cells)!r}"
+                f"line {lineno}: expected 'subject,score', got {_stripped_cells(line)!r}"
             )
-        subject, score_text = cells
+        subject = subject.rstrip()
+        # float() does not strip every character str.strip() does, such as \x1f
+        score_text = score_text.lstrip()
         try:
             score = float(score_text)
         except ValueError:
             raise DataFormatError(f"line {lineno}: score is not a number: {score_text!r}") from None
-        if not scale.domain_min <= score <= scale.domain_max:
+        if not domain_min <= score <= domain_max:
             raise DataFormatError(
                 f"line {lineno}: subject {subject!r} score {score:g} outside domain "
-                f"[{scale.domain_min:g}, {scale.domain_max:g}]"
+                f"[{domain_min:g}, {domain_max:g}]"
             )
-        scores_by_subject.setdefault(subject, []).append(score)
+        scores = get_scores(subject)
+        if scores is None:
+            scores_by_subject[subject] = [score]
+        else:
+            scores.append(score)
     if not scores_by_subject:
         raise DataFormatError("no data rows found")
     return ScoreSheet(scores_by_subject.items())

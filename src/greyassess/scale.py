@@ -212,9 +212,8 @@ def _read_text(path: str | Path, error: type[ValueError]) -> str:
 
 def _lines(text: str) -> Iterator[tuple[int, str]]:
     """Each stripped line that is neither blank nor a ``#`` comment, with its number from 1."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if line and line[0] != "#":
             yield lineno, line
 
 
