@@ -95,18 +95,30 @@ def load_counts_csv(path: str | Path, scale: GradeScale) -> dict[str, GradeDistr
 def dump_counts_csv(
     groups: Mapping[str, GradeDistribution], path: str | Path, scale: GradeScale
 ) -> None:
-    """Write groups back out; loading the result reproduces them exactly.
+    """Write groups back out; loading the result reproduces their counts.
 
-    A group id or grade label that would not load back as itself raises
-    ValueError before anything is written: one holding a comma or a line
-    break, padded with whitespace, or, for a group id, starting with ``#``.
+    Every group is written with one row per scale label, so a grade a
+    distribution leaves out loads back as an explicit zero. Anything that
+    would not load back raises ValueError before anything is written: no
+    groups at all; a group id or grade label holding a comma or a line
+    break, padded with whitespace, or, for a group id, starting with ``#``;
+    a count too large for a float; or a grade the scale does not define.
     """
+    if not groups:
+        raise ValueError("no groups to write to a counts CSV")
     for label in scale.labels:
         if not _loads_back(label):
             raise ValueError(f"grade label {label!r} cannot be written to a counts CSV")
-    for group in groups:
+    for group, dist in groups.items():
         if not _loads_back(group) or group.startswith("#"):
             raise ValueError(f"group id {group!r} cannot be written to a counts CSV")
+        for label, count in dist.counts.items():
+            if label not in scale.labels:
+                raise ValueError(f"group {group!r} has grade {label!r}, which the scale does not define")
+            try:
+                float(count)
+            except OverflowError:
+                raise ValueError(f"count for {group},{label} is too large for a float") from None
     lines = [",".join(COUNTS_HEADER)]
     for group, dist in groups.items():
         for label in scale.labels:

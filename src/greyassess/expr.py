@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .grey import GreyNumber, IntervalError, ZeroDivisorError
 
@@ -42,52 +41,28 @@ class Literal:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class BinaryOp:
-    """``left op right``. Equality, hash and repr are those a frozen
-    dataclass generates, computed without recursion so that a tree of any
-    depth has them."""
+    """``left op right``. Equality and repr are those a frozen dataclass
+    generates, and the hash agrees with equality; all three are computed
+    without recursion so that a tree of any depth has them."""
 
     op: str  # one of + - * /
     left: GnExpression
     right: GnExpression
 
+    def _key(self) -> tuple:
+        # a post-order sequence of operators and literals decodes to exactly one tree
+        return tuple(node.op if isinstance(node, BinaryOp) else node for node in _postorder(self))
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # a post-order node sequence decodes to exactly one tree
-        for a, b in zip_longest(_postorder(self), _postorder(other)):
-            if a.__class__ is not b.__class__:
-                return False
-            if isinstance(a, BinaryOp):
-                if a.op != b.op:
-                    return False
-            elif a != b:
-                return False
-        return True
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        hashes: list[int] = []
-        for node in _postorder(self):
-            if isinstance(node, BinaryOp):
-                right = hashes.pop()
-                hashes[-1] = hash((node.op, hashes[-1], right))
-            else:
-                hashes.append(hash(node))
-        return hashes[0]
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        # pieces in text order, as format_expression does: joining texts
-        # bottom-up would copy a deep tree's text once per level
-        parts: list[str] = []
-        pending: list[GnExpression | str] = [self]
-        while pending:
-            item = pending.pop()
-            if isinstance(item, str):
-                parts.append(item)
-            elif isinstance(item, BinaryOp):
-                pending += (")", item.right, ", right=", item.left, f"BinaryOp(op={item.op!r}, left=")
-            else:
-                parts.append(repr(item))
-        return "".join(parts)
+        return _write(self, repr, lambda op: (f"BinaryOp(op={op!r}, left=", ", right=", ")"))
 
 
 GnExpression = Union[Literal, BinaryOp]
@@ -188,27 +163,23 @@ def parse_expression(text: str) -> GnExpression:
             kind, value, position = tokens[i]
             i += 1
             precedence = _PRECEDENCE.get(kind)
-            if precedence is not None:
-                while operators and _PRECEDENCE.get(operators[-1], 0) >= precedence:
-                    right = operands.pop()
-                    operands[-1] = BinaryOp(operators.pop(), operands[-1], right)
+            if precedence is None:
+                if depth and kind != ")":
+                    raise GnSyntaxError("expected ')'", position)
+                if not depth and kind != "end":
+                    shown = "[" if kind == "interval" else value
+                    raise GnSyntaxError(f"unexpected {shown!r} after expression", position)
+                precedence = 0  # reduce down to the '(' mark or the bottom
+            while operators and _PRECEDENCE.get(operators[-1], -1) >= precedence:
+                right = operands.pop()
+                operands[-1] = BinaryOp(operators.pop(), operands[-1], right)
+            if precedence:
                 operators.append(kind)
                 break
-            if kind == ")" and depth:
-                while (op := operators.pop()) != "(":
-                    right = operands.pop()
-                    operands[-1] = BinaryOp(op, operands[-1], right)
-                depth -= 1
-            elif depth:
-                raise GnSyntaxError("expected ')'", position)
-            elif kind == "end":
-                while operators:
-                    right = operands.pop()
-                    operands[-1] = BinaryOp(operators.pop(), operands[-1], right)
+            if not depth:
                 return operands[0]
-            else:
-                shown = "[" if kind == "interval" else value
-                raise GnSyntaxError(f"unexpected {shown!r} after expression", position)
+            operators.pop()
+            depth -= 1
 
 
 def eval_expression(expression: GnExpression) -> GreyNumber:
@@ -262,15 +233,34 @@ def format_expression(expression: GnExpression) -> str:
     White-number literals print as bare numbers, other intervals as
     ``[lower, upper]``; binary operations are fully parenthesized.
     """
+    return _write(expression, _literal_text, lambda op: ("(", f" {op} ", ")"))
+
+
+def _literal_text(literal: Literal) -> str:
+    gn = literal.value
+    return repr(gn.lower) if gn.is_white else f"[{gn.lower!r}, {gn.upper!r}]"
+
+
+def _write(
+    expression: GnExpression,
+    literal: Callable[[Literal], str],
+    operator: Callable[[str], tuple[str, str, str]],
+) -> str:
+    """In-order text of a tree: ``literal`` renders a literal, and ``operator``
+    gives the texts before, between and after a binary operation's operands.
+
+    Pieces are collected in text order and joined once: joining texts
+    bottom-up would copy a deep tree's text once per level.
+    """
     parts: list[str] = []
     pending: list[GnExpression | str] = [expression]
     while pending:
         item = pending.pop()
         if isinstance(item, str):
             parts.append(item)
-        elif isinstance(item, Literal):
-            gn = item.value
-            parts.append(repr(gn.lower) if gn.is_white else f"[{gn.lower!r}, {gn.upper!r}]")
+        elif isinstance(item, BinaryOp):
+            before, between, after = operator(item.op)
+            pending += (after, item.right, between, item.left, before)
         else:
-            pending += (")", item.right, f" {item.op} ", item.left, "(")
+            parts.append(literal(item))
     return "".join(parts)

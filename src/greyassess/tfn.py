@@ -9,6 +9,7 @@ independent computation paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .assess import GradeDistribution, _graded_count, mean_gn
@@ -20,7 +21,7 @@ EQUIVALENCE_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class TriangularFuzzyNumber:
-    """Triple (a, b, c): support [a, c] with peak membership at b."""
+    """Finite triple (a, b, c): support [a, c] with peak membership at b."""
 
     a: float
     b: float
@@ -28,6 +29,8 @@ class TriangularFuzzyNumber:
 
     def __post_init__(self) -> None:
         a, b, c = float(self.a), float(self.b), float(self.c)
+        if not (math.isfinite(a) and math.isfinite(c)):
+            raise ValueError(f"components must be finite, got ({self.a}, {self.b}, {self.c})")
         if not a <= b <= c:
             raise ValueError(f"components must satisfy a <= b <= c, got ({a}, {b}, {c})")
         object.__setattr__(self, "a", a)

@@ -107,6 +107,33 @@ class TestLoadCounts:
             dump_counts_csv(groups, out, scale)
         assert not out.exists()
 
+    def test_dump_refuses_no_groups(self, tmp_path, scale):
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="no groups to write"):
+            dump_counts_csv({}, out, scale)
+        assert not out.exists()
+
+    def test_dump_refuses_count_too_large_for_a_float(self, tmp_path, scale):
+        out = tmp_path / "out.csv"
+        groups = {"G1": GradeDistribution({"A": 1}), "G2": GradeDistribution({"B": 10**309})}
+        with pytest.raises(ValueError, match="count for G2,B is too large for a float"):
+            dump_counts_csv(groups, out, scale)
+        assert not out.exists()
+
+    def test_dump_refuses_grade_outside_the_scale(self, tmp_path, scale):
+        out = tmp_path / "out.csv"
+        groups = {"G1": GradeDistribution({"A": 1}), "G2": GradeDistribution({"Z": 5})}
+        with pytest.raises(ValueError, match="group 'G2' has grade 'Z', which the scale does not define"):
+            dump_counts_csv(groups, out, scale)
+        assert not out.exists()
+
+    def test_dump_writes_left_out_grades_as_zeros(self, tmp_path, scale):
+        out = tmp_path / "out.csv"
+        dump_counts_csv({"G1": GradeDistribution({"B": 3})}, out, scale)
+        assert load_counts_csv(out, scale) == {
+            "G1": GradeDistribution({label: 3 if label == "B" else 0 for label in scale.labels})
+        }
+
     @pytest.mark.parametrize("label", [" A", "A,B", "A\rB"], ids=["padded", "comma", "return"])
     def test_dump_refuses_grade_label_that_cannot_load_back(self, tmp_path, label):
         scale = GradeScale(((label, GreyNumber(50, 100)), ("F", GreyNumber(0, 49))))

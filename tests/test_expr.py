@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -224,3 +225,73 @@ class TestTreeIdentity:
         assert parse_expression(left) != parse_expression(right)
         assert parse_expression(right) != parse_expression(left)
         assert hash(parse_expression(left)) != hash(parse_expression(right))
+
+
+@dataclass(frozen=True)
+class ReferenceOp:
+    """The recursive equality, hash and repr ``BinaryOp`` stands in for."""
+
+    op: str
+    left: object
+    right: object
+
+
+def _reference(tree):
+    if isinstance(tree, Literal):
+        return tree
+    return ReferenceOp(tree.op, _reference(tree.left), _reference(tree.right))
+
+
+def _changed_once(tree, rng):
+    """``tree`` with one operator or one literal changed."""
+    nodes = []
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        nodes.append(node)
+        if isinstance(node, BinaryOp):
+            pending += (node.left, node.right)
+    target = rng.choice(nodes)
+
+    def rebuild(node):
+        if node is target:
+            if isinstance(node, Literal):
+                gn = node.value
+                return lit(gn.lower, gn.upper + rng.choice((0.5, 1.0)))
+            return BinaryOp(rng.choice([op for op in "+-*/" if op != node.op]), node.left, node.right)
+        if isinstance(node, Literal):
+            return node
+        return BinaryOp(node.op, rebuild(node.left), rebuild(node.right))
+
+    return rebuild(tree)
+
+
+class TestAgainstRecursiveReference:
+    def _pairs(self):
+        rng = random.Random(47)
+        for _ in range(400):
+            tree = random_expression(rng)
+            yield tree, random_expression(rng)
+            yield tree, parse_expression(format_expression(tree))
+            yield tree, _changed_once(tree, rng)
+            yield _changed_once(tree, rng), tree
+
+    def test_equality_matches_reference(self):
+        for left, right in self._pairs():
+            expected = _reference(left) == _reference(right)
+            assert (left == right) is expected
+            assert (left != right) is not expected
+
+    def test_equal_trees_hash_equal(self):
+        equal = 0
+        for left, right in self._pairs():
+            if left == right:
+                equal += 1
+                assert hash(left) == hash(right)
+        assert equal >= 400
+
+    def test_repr_matches_reference(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            tree = random_expression(rng)
+            assert repr(tree) == repr(_reference(tree)).replace("ReferenceOp(", "BinaryOp(")

@@ -1,9 +1,12 @@
+import math
 import random
 
 import pytest
 
 from greyassess import (
     GradeDistribution,
+    GradeScale,
+    GreyNumber,
     TriangularFuzzyNumber,
     UnknownGradeError,
     check_equivalence,
@@ -26,6 +29,13 @@ class TestTriangularFuzzyNumber:
     def test_degenerate_allowed(self):
         tfn = TriangularFuzzyNumber(4, 4, 4)
         assert (tfn.a, tfn.b, tfn.c) == (4.0, 4.0, 4.0)
+
+    @pytest.mark.parametrize("components", [
+        (1, 2, math.inf), (-math.inf, 0, 1), (-math.inf, 0, math.inf), (math.nan, 1, 2),
+    ])
+    def test_non_finite_components_rejected(self, components):
+        with pytest.raises(ValueError, match="components must be finite"):
+            TriangularFuzzyNumber(*components)
 
 
 class TestGradeTfn:
@@ -72,6 +82,16 @@ class TestTfnMean:
     def test_total_count_too_large_for_a_float(self, scale):
         with pytest.raises(ValueError, match="too large for a float"):
             tfn_mean(GradeDistribution({"A": 10**308, "B": 10**308}), scale)
+
+    def test_overflowed_component_sum_rejected(self):
+        # a valid scale whose endpoint sums leave the float range
+        huge = GradeScale(
+            (("A", GreyNumber(5e307, 1.3e308)), ("F", GreyNumber(0, 4e307))),
+            domain_min=0, domain_max=1.3e308,
+        )
+        assert huge.validate() == []
+        with pytest.raises(ValueError, match="components must be finite"):
+            tfn_mean(GradeDistribution({"A": 2}), huge)
 
     def test_component_ordering_preserved(self, scale):
         rng = random.Random(29)
