@@ -9,7 +9,8 @@ classifying every score into a grade distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .grey import GreyNumber
@@ -28,6 +29,8 @@ class GradeDistribution:
     """
 
     counts: Mapping[str, int]
+    #: The number of graded objects, derived from ``counts``.
+    n: int = field(init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
         # agrees with the generated __eq__, which compares the counts dicts
@@ -35,17 +38,16 @@ class GradeDistribution:
 
     def __post_init__(self) -> None:
         counts: dict[str, int] = {}
+        n = 0
         for label, count in self.counts.items():
             if not isinstance(count, int) or isinstance(count, bool):
                 raise ValueError(f"count for grade {label!r} must be an integer, got {count!r}")
             if count < 0:
                 raise ValueError(f"count for grade {label!r} is negative: {count}")
             counts[str(label)] = count
+            n += count
         object.__setattr__(self, "counts", counts)
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts.values())
+        object.__setattr__(self, "n", n)
 
     def count(self, label: str) -> int:
         return self.counts.get(label, 0)
@@ -133,33 +135,31 @@ def assess(
 
 def scores_to_distribution(sheet: ScoreSheet, scale: GradeScale) -> GradeDistribution:
     """Pool every subject's scores and classify each into a grade count."""
-    counts = {label: 0 for label in scale.labels}
-    for subject, scores in sheet.subjects:
-        _count_grades(subject, scores, scale, counts)
+    return _tally(sheet.subjects, scale)
+
+
+def _tally(pairs: Iterable[tuple[str, Iterable[float]]], scale: GradeScale) -> GradeDistribution:
+    """Classify every score of the ``(subject, scores)`` pairs into one
+    distribution, zero-filled in scale order. An out-of-domain score raises
+    naming its subject."""
+    counts = dict.fromkeys(scale.labels, 0)
+    for subject, scores in pairs:
+        for score in scores:
+            try:
+                grade = scale.classify(score)
+            except OutOfDomainError as exc:
+                raise OutOfDomainError(f"subject {subject!r}: {exc}") from None
+            counts[grade] += 1
     return GradeDistribution(counts)
 
 
-def _count_grades(
-    subject: str, scores: Iterable[float], scale: GradeScale, counts: dict[str, int]
-) -> dict[str, int]:
-    """Add one subject's scores to ``counts`` by grade and return ``counts``.
-
-    ``counts`` must hold every label of the scale. An out-of-domain score
-    raises naming the subject.
-    """
-    for score in scores:
-        try:
-            grade = scale.classify(score)
-        except OutOfDomainError as exc:
-            raise OutOfDomainError(f"subject {subject!r}: {exc}") from None
-        counts[grade] += 1
-    return counts
-
-
 def raw_mean(sheet: ScoreSheet) -> float:
-    """Arithmetic mean of all pooled scores."""
+    """Arithmetic mean of all pooled scores; ValueError if their sum overflows."""
     scores = sheet.all_scores()
-    return sum(scores) / len(scores)
+    total = sum(scores)
+    if not math.isfinite(total):
+        raise ValueError("sum of the scores is too large for a float")
+    return total / len(scores)
 
 
 def compare_groups(reports: Sequence[AssessmentReport]) -> list[list[AssessmentReport]]:

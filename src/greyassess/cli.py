@@ -11,16 +11,15 @@ import argparse
 import json
 import math
 import sys
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 from .assess import (
     AssessmentReport,
-    GradeDistribution,
     ScoreSheet,
-    _count_grades,
+    _tally,
     assess,
     compare_groups,
     raw_mean,
@@ -32,8 +31,12 @@ from .scale import GradeScale, default_scale, read_scale_file
 from .tfn import EQUIVALENCE_TOLERANCE, check_equivalence
 
 
+#: 309 integer digits and 2 decimals hold any finite float rounded to 2 decimals.
+_ROUND2_CONTEXT = Context(prec=311, rounding=ROUND_HALF_UP)
+
+
 def _round2(x: float) -> str:
-    return str(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(x)).quantize(Decimal("0.01"), context=_ROUND2_CONTEXT))
 
 
 def _gn2(gn) -> str:
@@ -161,10 +164,8 @@ def _reports(
         if pool_scores:
             groups = [("all", scores_to_distribution(sheet, scale))]
         else:
-            zeros = dict.fromkeys(scale.labels, 0)
             groups = (
-                (subject, GradeDistribution(_count_grades(subject, scores, scale, zeros.copy())))
-                for subject, scores in sheet.subjects
+                (subject, _tally(((subject, scores),), scale)) for subject, scores in sheet.subjects
             )
     return [assess(dist, scale, args.t, group_id=group) for group, dist in groups], sheet
 

@@ -145,14 +145,12 @@ def parse_expression(text: str) -> GnExpression:
             i += 1
             kind, value, position = tokens[i]
         i += 1
-        if kind == "number":
-            number = float(value)
-            operands.append(Literal(GreyNumber(number, number)))
-        elif kind == "interval":
+        if kind == "number" or kind == "interval":
+            lower, upper = value if kind == "interval" else (value, value)
             try:
-                operands.append(Literal(GreyNumber(float(value[0]), float(value[1]))))
+                operands.append(Literal(GreyNumber(float(lower), float(upper))))
             except IntervalError as exc:
-                raise GnSyntaxError(f"invalid interval literal: {exc}", position) from None
+                raise GnSyntaxError(f"invalid {kind} literal: {exc}", position) from None
         elif kind == "[":
             raise _bracket_error(tokens, i - 1)
         else:

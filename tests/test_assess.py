@@ -55,6 +55,14 @@ class TestGradeDistribution:
         assert forward == backward and hash(forward) == hash(backward)
         assert len({forward, backward, GradeDistribution({"A": 1})}) == 2
 
+    def test_total_is_derived_from_the_counts(self):
+        dist = GradeDistribution({"A": 1, "B": 2})
+        (field,) = (f for f in dataclasses.fields(dist) if f.name == "n")
+        assert not (field.init or field.repr or field.compare)
+        assert repr(dist) == "GradeDistribution(counts={'A': 1, 'B': 2})"
+        assert dataclasses.replace(dist, counts={"A": 4}).n == 4
+        assert GradeDistribution({}).n == 0
+
 
 class TestScoreSheet:
     def test_pooling_keeps_subject_order(self):
@@ -269,6 +277,10 @@ class TestRawMean:
 
     def test_two_extremes(self):
         assert raw_mean(ScoreSheet((("s", (0, 100)),))) == 50.0
+
+    def test_overflowing_sum_rejected(self):
+        with pytest.raises(ValueError, match="sum of the scores is too large for a float"):
+            raw_mean(ScoreSheet((("s", (0.95e308, 0.95e308)),)))
 
     def test_bracketed_by_whitening_extremes(self, scale):
         # integer scores: the raw mean lies in the mean grey number

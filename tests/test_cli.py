@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from greyassess.cli import main
+from greyassess.cli import _round2, main
 
 from conftest import G2_LOWER, G2_UPPER, PLAYERS_RAW_MEAN, PLAYERS_WHITENED
 
@@ -186,6 +186,34 @@ class TestAssessCommand:
         assert code == 1 and out == ""
         assert err == "error: total count of the distribution is too large for a float\n"
 
+    def test_large_values_print_in_full_with_two_decimals(self, capsys, tmp_path):
+        scale_file = tmp_path / "large.txt"
+        scale_file.write_text("domain 0 1e27\nA 5e26 1e27\nB 0 4e26\n", encoding="utf-8")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("group,grade,count\nG1,A,1\n", encoding="utf-8")
+        whitened = "750000000000000100000000000.00"  # 7.500000000000001e+26
+        code, out, err = run(capsys, "assess", "--counts", str(counts), "--scale", str(scale_file))
+        assert code == 0 and err == ""
+        assert out == (
+            "G1: mean=[500000000000000000000000000.00, 1000000000000000000000000000.00] "
+            f"whitened={whitened} grade=A n=1 (A:1 B:0)\n"
+        )
+        code, out, err = run(capsys, "compare", "--counts", str(counts), "--scale", str(scale_file))
+        assert code == 0 and err == ""
+        assert out == f"1. G1: whitened={whitened} grade=A\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overflowing_score_sum_is_data_error(self, capsys, tmp_path, fmt):
+        scale_file = tmp_path / "huge.txt"
+        scale_file.write_text("domain 0 1.7e308\nA 1e308 1.7e308\nB 0 0.85e308\n", encoding="utf-8")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("subject,score\nP1,0.95e308\nP1,0.95e308\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "assess", "--scores", str(scores), "--scale", str(scale_file), "--format", fmt
+        )
+        assert code == 1 and out == ""
+        assert err == "error: sum of the scores is too large for a float\n"
+
 
 class TestCompareCommand:
     def test_counts_ranking(self, capsys, counts_csv):
@@ -277,6 +305,14 @@ class TestCalcCommand:
         assert code == 1 and out == ""
         assert err == f"error: unexpected character {text[position]!r} (at offset {position})\n"
 
+    def test_overflowing_number_is_positioned_data_error(self, capsys):
+        code, out, err = run(capsys, "calc", "1 + 1e400")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: invalid number literal: interval endpoints must be finite, "
+            "got [inf, inf] (at offset 4)\n"
+        )
+
     def test_deep_nesting(self, capsys):
         code, out, err = run(capsys, "calc", "(" * 5000 + "1" + ")" * 5000)
         assert code == 0 and err == ""
@@ -349,3 +385,24 @@ class TestJsonBytes:
         assert out == indent2(out)
         assert '"group": "Grupa \\u017b\\u00f3\\u0142w"' in out
         assert [entry["group"] for entry in json.loads(out)] == ["Grupa Żółw", "G2"]
+
+
+class TestRound2:
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (0.125, "0.13"),
+            (2.675, "2.68"),
+            (-0.005, "-0.01"),
+            (-0.0, "-0.00"),
+            (5e-324, "0.00"),
+            (72.70588235294117, "72.71"),
+            (1e26, "100000000000000000000000000.00"),
+            (-1e30, "-1000000000000000000000000000000.00"),
+        ],
+    )
+    def test_half_up_to_two_decimals(self, value, text):
+        assert _round2(value) == text
+
+    def test_largest_float_prints_its_shortest_repr_in_full(self):
+        assert _round2(1.7976931348623157e308) == "17976931348623157" + "0" * 292 + ".00"

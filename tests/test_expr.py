@@ -110,6 +110,16 @@ class TestParse:
             parse_expression(text)
         assert str(exc_info.value) == message
 
+    @pytest.mark.parametrize(
+        "text, position", [("1 + 1e400", 4), ("-1e400", 0), ("[0, 1] * 2e308", 9)]
+    )
+    def test_overflowing_number_literal_is_positioned(self, text, position):
+        with pytest.raises(GnSyntaxError) as exc_info:
+            parse_expression(text)
+        assert exc_info.value.position == position
+        assert str(exc_info.value).startswith("invalid number literal: ")
+        assert str(exc_info.value).endswith(f" (at offset {position})")
+
     @pytest.mark.parametrize("text, position", [("1+-\u00b2", 3), ("1+-.", 3), ("1 - -.x", 5), ("-.", 1)])
     def test_minus_before_a_non_number_is_syntax_error(self, text, position):
         # a '-' followed by a digit-like character or '.' that starts no number
