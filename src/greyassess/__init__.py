@@ -6,98 +6,76 @@ representative value, configurable linguistic grade scales, group
 assessment from grade counts or raw score sheets, a triangular fuzzy
 number cross-check, and a small expression calculator. See the
 ``greyassess`` console script for the command line surface.
+
+Each public name is imported from its home submodule on first access, so
+a process loads only the submodules it uses.
 """
 
-from .assess import (
-    AssessmentReport,
-    GradeDistribution,
-    ScoreSheet,
-    TIE_TOLERANCE,
-    assess,
-    compare_groups,
-    mean_gn,
-    raw_mean,
-    scores_to_distribution,
-)
-from .csvio import DataFormatError, dump_counts_csv, load_counts_csv, load_scores_csv
-from .expr import (
-    BinaryOp,
-    GnExpression,
-    GnSyntaxError,
-    Literal,
-    calc,
-    eval_expression,
-    format_expression,
-    parse_expression,
-)
-from .grey import GreyNumber, IntervalError, ZeroDivisorError, white
-from .scale import (
-    GradeScale,
-    OutOfDomainError,
-    ScaleFormatError,
-    UnknownGradeError,
-    default_scale,
-    format_scale_text,
-    parse_scale_text,
-    read_scale_file,
-    strict_scale,
-    validate_scale,
-    write_scale_file,
-)
-from .tfn import (
-    EQUIVALENCE_TOLERANCE,
-    EquivalenceCheck,
-    TriangularFuzzyNumber,
-    check_equivalence,
-    defuzzify,
-    grade_tfn,
-    tfn_mean,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssessmentReport",
-    "BinaryOp",
-    "DataFormatError",
-    "EQUIVALENCE_TOLERANCE",
-    "EquivalenceCheck",
-    "GnExpression",
-    "GnSyntaxError",
-    "GradeDistribution",
-    "GradeScale",
-    "GreyNumber",
-    "IntervalError",
-    "Literal",
-    "OutOfDomainError",
-    "ScaleFormatError",
-    "ScoreSheet",
-    "TIE_TOLERANCE",
-    "TriangularFuzzyNumber",
-    "UnknownGradeError",
-    "ZeroDivisorError",
-    "assess",
-    "calc",
-    "check_equivalence",
-    "compare_groups",
-    "default_scale",
-    "defuzzify",
-    "dump_counts_csv",
-    "eval_expression",
-    "format_expression",
-    "format_scale_text",
-    "grade_tfn",
-    "load_counts_csv",
-    "load_scores_csv",
-    "mean_gn",
-    "parse_expression",
-    "parse_scale_text",
-    "raw_mean",
-    "read_scale_file",
-    "scores_to_distribution",
-    "strict_scale",
-    "tfn_mean",
-    "validate_scale",
-    "white",
-    "write_scale_file",
-]
+#: Each public name and the submodule that defines it. No submodule is
+#: named like a public name: importing a submodule binds its name on the
+#: package, which would hide the public name.
+_HOMES = {
+    "AssessmentReport": "assessment",
+    "GradeDistribution": "assessment",
+    "ScoreSheet": "assessment",
+    "TIE_TOLERANCE": "assessment",
+    "assess": "assessment",
+    "compare_groups": "assessment",
+    "mean_gn": "assessment",
+    "raw_mean": "assessment",
+    "scores_to_distribution": "assessment",
+    "DataFormatError": "csvio",
+    "dump_counts_csv": "csvio",
+    "load_counts_csv": "csvio",
+    "load_scores_csv": "csvio",
+    "BinaryOp": "expr",
+    "GnExpression": "expr",
+    "GnSyntaxError": "expr",
+    "Literal": "expr",
+    "calc": "expr",
+    "eval_expression": "expr",
+    "format_expression": "expr",
+    "parse_expression": "expr",
+    "GreyNumber": "grey",
+    "IntervalError": "grey",
+    "ZeroDivisorError": "grey",
+    "white": "grey",
+    "GradeScale": "scale",
+    "OutOfDomainError": "scale",
+    "ScaleFormatError": "scale",
+    "UnknownGradeError": "scale",
+    "default_scale": "scale",
+    "format_scale_text": "scale",
+    "parse_scale_text": "scale",
+    "read_scale_file": "scale",
+    "strict_scale": "scale",
+    "validate_scale": "scale",
+    "write_scale_file": "scale",
+    "EQUIVALENCE_TOLERANCE": "tfn",
+    "EquivalenceCheck": "tfn",
+    "TriangularFuzzyNumber": "tfn",
+    "check_equivalence": "tfn",
+    "defuzzify": "tfn",
+    "grade_tfn": "tfn",
+    "tfn_mean": "tfn",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOMES.keys())

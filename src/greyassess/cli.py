@@ -11,32 +11,31 @@ import argparse
 import json
 import math
 import sys
-from decimal import ROUND_HALF_UP, Context, Decimal
+from functools import cache
 from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .assess import (
-    AssessmentReport,
-    ScoreSheet,
-    _tally,
-    assess,
-    compare_groups,
-    raw_mean,
-    scores_to_distribution,
-)
-from .csvio import load_counts_csv, load_scores_csv
-from .expr import calc as eval_text
-from .scale import GradeScale, default_scale, read_scale_file
-from .tfn import EQUIVALENCE_TOLERANCE, check_equivalence
+# Each command imports the package modules it runs, so a process loads no
+# module its command does not use.
+if TYPE_CHECKING:
+    from .assessment import AssessmentReport, ScoreSheet
+    from .scale import GradeScale
 
 
-#: 309 integer digits and 2 decimals hold any finite float rounded to 2 decimals.
-_ROUND2_CONTEXT = Context(prec=311, rounding=ROUND_HALF_UP)
+@cache
+def _round2_parts():
+    """Decimal, one cent and a half-up context: 309 integer digits and 2
+    decimals hold any finite float rounded to 2 decimals. Built on first
+    use, as only text output rounds."""
+    from decimal import ROUND_HALF_UP, Context, Decimal
+
+    return Decimal, Decimal("0.01"), Context(prec=311, rounding=ROUND_HALF_UP)
 
 
 def _round2(x: float) -> str:
-    return str(Decimal(repr(x)).quantize(Decimal("0.01"), context=_ROUND2_CONTEXT))
+    Decimal, cent, context = _round2_parts()
+    return str(Decimal(repr(x)).quantize(cent, context=context))
 
 
 def _gn2(gn) -> str:
@@ -139,6 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_scale(args: argparse.Namespace) -> GradeScale:
+    from .scale import default_scale, read_scale_file
+
     return read_scale_file(args.scale) if args.scale else default_scale()
 
 
@@ -156,6 +157,9 @@ def _reports(
     """Assess the input file: one report per counts group, and for a scores
     sheet one pooled "all" report or one report per subject. The sheet is
     returned too, so its raw scores are read only once."""
+    from .assessment import _tally, assess, scores_to_distribution
+    from .csvio import load_counts_csv, load_scores_csv
+
     sheet = None
     if args.counts:
         groups = load_counts_csv(args.counts, scale).items()
@@ -175,9 +179,20 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     reports, sheet = _reports(args, scale, pool_scores=True)
     extras: dict[str, float] = {}
     if sheet is not None:
-        extras["raw_mean"] = raw_mean(sheet)
-        extras["difference"] = extras["raw_mean"] - reports[0].whitened
-    checks = [check_equivalence(r.distribution, scale) for r in reports] if args.check_tfn else []
+        from .assessment import raw_mean
+
+        mean = raw_mean(sheet)
+        difference = mean - reports[0].whitened
+        if not math.isfinite(difference):
+            raise ValueError(
+                "difference of the raw mean and the whitened value is too large for a float"
+            )
+        extras = {"raw_mean": mean, "difference": difference}
+    checks: list = []
+    if args.check_tfn:
+        from .tfn import EQUIVALENCE_TOLERANCE, check_equivalence
+
+        checks = [check_equivalence(r.distribution, scale) for r in reports]
 
     if args.format == "json":
         _print_json_list(
@@ -206,6 +221,8 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .assessment import compare_groups
+
     reports, _ = _reports(args, _load_scale(args), pool_scores=False)
     ranked: list[tuple[int, str, AssessmentReport]] = []
     rank = 1
@@ -241,7 +258,9 @@ def _cmd_validate_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_calc(args: argparse.Namespace) -> int:
-    result = eval_text(args.expression)
+    from .expr import calc
+
+    result = calc(args.expression)
     if args.format == "json":
         print(json.dumps({"lower": result.lower, "upper": result.upper}))
     else:

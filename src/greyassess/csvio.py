@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .assess import GradeDistribution, ScoreSheet
+from .assessment import GradeDistribution, ScoreSheet
 from .scale import GradeScale, _lines, _read_text
 
 COUNTS_HEADER = ("group", "grade", "count")

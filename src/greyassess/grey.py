@@ -20,6 +20,12 @@ class ZeroDivisorError(ZeroDivisionError):
     """Division by an interval that contains zero."""
 
 
+def _half_sum(x: float, y: float) -> float:
+    """(x + y) / 2 for finite x and y, halving first only where the sum overflows."""
+    mid = (x + y) / 2
+    return mid if math.isfinite(mid) else x / 2 + y / 2
+
+
 def _fmt(x: float) -> str:
     # up to 4 decimal places, trailing zeros trimmed
     s = f"{x:.4f}".rstrip("0").rstrip(".")
@@ -57,7 +63,7 @@ class GreyNumber:
 
     @property
     def midpoint(self) -> float:
-        return (self.lower + self.upper) / 2
+        return _half_sum(self.lower, self.upper)
 
     def whiten(self, t: float = 0.5) -> float:
         """Representative real value (1-t)*lower + t*upper.

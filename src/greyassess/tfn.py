@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .assess import GradeDistribution, _graded_count, mean_gn
+from .assessment import GradeDistribution, _graded_count, mean_gn
+from .grey import _half_sum
 from .scale import GradeScale
 
 #: The two assessment routes must agree within this absolute tolerance.
@@ -78,7 +79,7 @@ def defuzzify(tfn: TriangularFuzzyNumber) -> float:
     This equals the peak b only for symmetric triples; the two are reported
     separately by :func:`check_equivalence`.
     """
-    return (tfn.a + tfn.c) / 2
+    return _half_sum(tfn.a, tfn.c)
 
 
 def check_equivalence(dist: GradeDistribution, scale: GradeScale) -> EquivalenceCheck:

@@ -214,6 +214,34 @@ class TestAssessCommand:
         assert code == 1 and out == ""
         assert err == "error: sum of the scores is too large for a float\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overflowing_difference_is_data_error(self, capsys, tmp_path, fmt):
+        scale_file = tmp_path / "symmetric.txt"
+        scale_file.write_text(
+            "domain -1.7e308 1.7e308\nA 1.6e308 1.7e308\nB -1.7e308 -1.6e308\n", encoding="utf-8"
+        )
+        scores = tmp_path / "scores.csv"
+        scores.write_text("subject,score\nP1,1.5e308\n", encoding="utf-8")
+        argv = ("assess", "--scores", str(scores), "--scale", str(scale_file), "--t", "0")
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: difference of the raw mean and the whitened value is too large for a float\n"
+        )
+
+    def test_check_tfn_passes_near_the_largest_float(self, capsys, tmp_path):
+        scale_file = tmp_path / "huge.txt"
+        scale_file.write_text("domain 0 1.7e308\nA 1e308 1.7e308\nB 0 0.9e308\n", encoding="utf-8")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("group,grade,count\nG1,A,1\n", encoding="utf-8")
+        argv = ("assess", "--counts", str(counts), "--scale", str(scale_file), "--check-tfn")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == "G1: tfn-equivalence PASS (difference 0.0e+00, tolerance 1e-09)"
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)[0]["tfn_check"]["tfn_value"] == 1.35e308
+
 
 class TestCompareCommand:
     def test_counts_ranking(self, capsys, counts_csv):

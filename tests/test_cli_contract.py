@@ -1,19 +1,23 @@
-"""The CLI contract over generated valid scales and counts CSVs.
+"""The CLI contract over generated valid scales, counts CSVs and scores CSVs.
 
-Scales have 2-4 grades over [0, domain maximum], the maximum between 100
-and 1e300; groups may be empty or hold counts large enough that a sum
-overflows. ``assess`` (with and without ``--check-tfn``) and ``compare``
-run in text and JSON, and every run must exit 0 or 1, print one ``error:``
-line and nothing else on exit 1, and on exit 0 report whitened values that
-lie in their mean interval and in the domain.
+Scales have 2-4 grades over [0, m] or [-m, m], with m between 100 and
+1e300 or near the largest float; groups may be empty or hold counts large
+enough that a sum overflows, and scores lie anywhere in the domain,
+including the gaps between grades. ``assess`` (with and without
+``--check-tfn``) and ``compare`` run in text and JSON, and every run must
+exit 0 or 1, print one ``error:`` line and nothing else on exit 1, and on
+exit 0 report whitened values that lie in their mean interval and in the
+domain.
 """
 
 import io
 import json
+import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from greyassess import GradeScale, GreyNumber
 from greyassess.cli import main
@@ -21,19 +25,35 @@ from greyassess.cli import main
 COMMANDS = (("assess",), ("assess", "--check-tfn"), ("compare",))
 
 
+#: Domain maxima spread over many magnitudes, and near the largest float,
+#: where a sum or difference of two in-domain values can overflow.
+DOMAIN_MAXIMA = st.one_of(
+    st.floats(2.0, 300.0).map(lambda e: 10.0 ** e), st.floats(1e308, sys.float_info.max)
+)
+
+#: Whitening parameters, often an end of [0, 1].
+TS = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+
+
 @st.composite
 def scales(draw):
-    """A valid scale over [0, domain_max], highest grade first."""
+    """A valid scale over [0, m] or [-m, m], highest grade first."""
     k = draw(st.integers(2, 4))
-    domain_max = 10.0 ** draw(st.floats(2.0, 300.0))
+    domain_max = draw(DOMAIN_MAXIMA)
+    domain_min = draw(st.sampled_from((0.0, -domain_max)))
     inner = sorted(draw(st.lists(
         st.integers(1, 999), min_size=2 * k - 2, max_size=2 * k - 2, unique=True
     )))
-    bounds = [0.0, *(i / 1000 * domain_max for i in inner), domain_max]
+    # each term is at most m in size, where domain_max - domain_min can overflow
+    bounds = [
+        domain_min,
+        *((1 - i / 1000) * domain_min + i / 1000 * domain_max for i in inner),
+        domain_max,
+    ]
     entries = tuple(
         (f"G{i}", GreyNumber(bounds[2 * i], bounds[2 * i + 1])) for i in reversed(range(k))
     )
-    scale = GradeScale(entries, 0.0, domain_max)
+    scale = GradeScale(entries, domain_min, domain_max)
     assert scale.validate() == []
     return scale
 
@@ -47,6 +67,23 @@ def counts_rows(draw, labels):
         for label in draw(st.lists(st.sampled_from(labels), min_size=1, unique=True)):
             count = draw(st.integers(0, 50)) * 10 ** draw(st.sampled_from((0, 0, 0, 20, 300, 306)))
             rows.append(f"G{group},{label},{count}")
+    return rows
+
+
+@st.composite
+def scores_rows(draw, scale):
+    """Scores CSV rows for 1-3 subjects with 1-4 scores each, anywhere in the
+    domain, often on a grade's end or on the top of the gap below a grade,
+    which classifies into the grade below."""
+    edges = sorted(
+        {gn.lower for _, gn in scale.entries}
+        | {gn.upper for _, gn in scale.entries}
+        | {math.nextafter(gn.lower, -math.inf) for _, gn in scale.entries[:-1]}
+    )
+    score = st.floats(scale.domain_min, scale.domain_max) | st.sampled_from(edges)
+    rows = []
+    for subject in range(draw(st.integers(1, 3))):
+        rows.extend(f"P{subject},{s!r}" for s in draw(st.lists(score, min_size=1, max_size=4)))
     return rows
 
 
@@ -68,16 +105,13 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("contract")
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data(), st.floats(0.0, 1.0))
-def test_every_run_keeps_the_contract(workdir, data, t):
-    scale = data.draw(scales())
-    rows = data.draw(counts_rows(scale.labels))
-    scale_file, counts = workdir / "scale.txt", workdir / "counts.csv"
+def check_every_command(workdir, scale, source, header, rows, t):
+    """Run each command on ``rows`` as a ``source`` CSV under ``scale``; check the contract."""
+    scale_file, data_file = workdir / "scale.txt", workdir / "data.csv"
     scale_file.write_text(scale_text(scale), encoding="utf-8")
-    counts.write_text("group,grade,count\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    data_file.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
     for command, *flags in COMMANDS:
-        argv = (command, "--counts", str(counts), "--scale", str(scale_file), "--t", repr(t), *flags)
+        argv = (command, source, str(data_file), "--scale", str(scale_file), "--t", repr(t), *flags)
         text_code, text_out, text_err = run(*argv)
         code, out, err = run(*argv, "--format", "json")
         assert (text_code, text_err) == (code, err)
@@ -91,3 +125,31 @@ def test_every_run_keeps_the_contract(workdir, data, t):
             mean, whitened = entry["mean_gn"], entry["whitened"]
             assert mean["lower"] <= whitened <= mean["upper"]
             assert scale.domain_min <= whitened <= scale.domain_max
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), TS)
+def test_every_run_keeps_the_contract(workdir, data, t):
+    scale = data.draw(scales())
+    rows = data.draw(counts_rows(scale.labels))
+    check_every_command(workdir, scale, "--counts", "group,grade,count", rows, t)
+
+
+#: A gap score far above a bottom grade near the largest float: the raw
+#: mean minus the whitened value overflows, so it is a data error.
+FAR_GAP_SCORE = (
+    GradeScale(
+        (("A", GreyNumber(1.6e308, 1.7e308)), ("B", GreyNumber(-1.7e308, -1.6e308))),
+        -1.7e308,
+        1.7e308,
+    ),
+    ["P0,1.5e308"],
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scales().flatmap(lambda scale: st.tuples(st.just(scale), scores_rows(scale))), TS)
+@example(FAR_GAP_SCORE, 0.0)
+def test_every_scores_run_keeps_the_contract(workdir, sheet, t):
+    scale, rows = sheet
+    check_every_command(workdir, scale, "--scores", "subject,score", rows, t)

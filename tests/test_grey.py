@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ def clamp(x, lo, hi):
 
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
+any_float = st.floats(allow_nan=False, allow_infinity=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 
 
@@ -165,6 +167,28 @@ class TestWhiten:
         t1, t2 = min(t1, t2), max(t1, t2)
         tol = 1e-9 * max(1.0, abs(gn.lower), abs(gn.upper))
         assert gn.whiten(t1) <= gn.whiten(t2) + tol
+
+
+class TestMidpoint:
+    @pytest.mark.parametrize(
+        "lower, upper, mid",
+        [
+            (1e308, 1.7e308, 1.35e308),
+            (-1.7e308, -1e308, -1.35e308),
+            (-1.7e308, 1.7e308, 0.0),
+            (sys.float_info.max, sys.float_info.max, sys.float_info.max),
+            (-sys.float_info.max, -sys.float_info.max, -sys.float_info.max),
+        ],
+    )
+    def test_ends_of_the_float_range(self, lower, upper, mid):
+        assert GreyNumber(lower, upper).midpoint == mid
+
+    @given(any_float, any_float)
+    def test_half_sum_where_it_is_finite_and_inside_the_interval(self, x, y):
+        gn = GreyNumber(min(x, y), max(x, y))
+        if math.isfinite(gn.lower + gn.upper):
+            assert gn.midpoint == (gn.lower + gn.upper) / 2
+        assert gn.lower <= gn.midpoint <= gn.upper
 
 
 class TestProperties:

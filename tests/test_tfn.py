@@ -120,6 +120,13 @@ class TestDefuzzify:
     def test_asymmetric_triple_ignores_peak(self):
         assert defuzzify(TriangularFuzzyNumber(0, 1, 10)) == 5.0
 
+    @pytest.mark.parametrize(
+        "a, c, value",
+        [(1e308, 1.7e308, 1.35e308), (-1.7e308, -1e308, -1.35e308), (-1.7e308, 1.7e308, 0.0)],
+    )
+    def test_ends_of_the_float_range(self, a, c, value):
+        assert defuzzify(TriangularFuzzyNumber(a, a, c)) == value
+
 
 class TestEquivalence:
     def test_example_one_groups(self, g1_dist, g2_dist, scale):
@@ -136,6 +143,19 @@ class TestEquivalence:
         for _ in range(100):
             check = check_equivalence(random_distribution(rng, scale.labels), scale)
             assert check.passed, check
+
+    @pytest.mark.parametrize(
+        "entries, domain, label, value",
+        [
+            ((("A", 1e308, 1.7e308), ("B", 0.0, 0.9e308)), (0.0, 1.7e308), "A", 1.35e308),
+            ((("A", -0.9e308, 0.0), ("B", -1.7e308, -1e308)), (-1.7e308, 0.0), "B", -1.35e308),
+        ],
+    )
+    def test_passes_near_the_largest_float(self, entries, domain, label, value):
+        scale = GradeScale(tuple((name, GreyNumber(lo, hi)) for name, lo, hi in entries), *domain)
+        check = check_equivalence(GradeDistribution({label: 1}), scale)
+        assert check.passed
+        assert check.gn_value == check.tfn_value == check.peak == value
 
     def test_reports_both_routes(self, g1_dist, scale):
         check = check_equivalence(g1_dist, scale)
