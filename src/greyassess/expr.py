@@ -20,10 +20,9 @@ expression length are limited only by memory.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
-from .grey import GreyNumber, IntervalError, ZeroDivisorError
+from .grey import GreyNumber, IntervalError, ZeroDivisorError, _Value
 
 
 class GnSyntaxError(ValueError):
@@ -34,38 +33,50 @@ class GnSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(_Value):
+    """A grey-number operand of an expression."""
+
+    __slots__ = __match_args__ = ("value",)
     value: GreyNumber
 
+    def __init__(self, value: GreyNumber) -> None:
+        _set_value(self, value)
 
-@dataclass(frozen=True, eq=False, repr=False)
-class BinaryOp:
-    """``left op right``. Equality and repr are those a frozen dataclass
-    generates, and the hash agrees with equality; all three are computed
-    without recursion so that a tree of any depth has them."""
 
+class BinaryOp(_Value):
+    """``left op right``.
+
+    Equality, hash and repr mean what they do for every value class: a tree
+    equals only a tree of the same shape with equal operators and literals,
+    and prints as ``BinaryOp(op='+', left=..., right=...)``. ``_key`` and
+    ``__repr__`` walk the tree without recursion, so that a tree of any depth
+    has all three.
+    """
+
+    __slots__ = __match_args__ = ("op", "left", "right")
     op: str  # one of + - * /
     left: GnExpression
     right: GnExpression
 
+    def __init__(self, op: str, left: GnExpression, right: GnExpression) -> None:
+        _set_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
+
     def _key(self) -> tuple:
         # a post-order sequence of operators and literals decodes to exactly one tree
         return tuple(node.op if isinstance(node, BinaryOp) else node for node in _postorder(self))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return _write(self, repr, lambda op: (f"BinaryOp(op={op!r}, left=", ", right=", ")"))
 
 
 GnExpression = Union[Literal, BinaryOp]
+# bound slot setters, as for GreyNumber
+_set_value = Literal.value.__set__
+_set_op = BinaryOp.op.__set__
+_set_left = BinaryOp.left.__set__
+_set_right = BinaryOp.right.__set__
 
 
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"

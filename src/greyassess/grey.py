@@ -9,7 +9,6 @@ every operation is pure, so they are safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class IntervalError(ValueError):
@@ -32,8 +31,48 @@ def _fmt(x: float) -> str:
     return "0" if s in ("-0", "") else s
 
 
-@dataclass(frozen=True)
-class GreyNumber:
+class _Value:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in ``__slots__`` and, in constructor order,
+    in ``__match_args__``; its ``__init__`` sets each once through the slot
+    descriptor. As with a frozen dataclass, equality holds only within one
+    class and compares ``_key`` (the field tuple unless overridden), the hash
+    agrees with it, and repr shows the fields. Copies and unpickling rebuild
+    through the constructor, because no field can be set on an existing object.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    _key = _fields
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GreyNumber(_Value):
     """A number known only to lie in the closed interval [lower, upper].
 
     Arithmetic follows closed-interval rules: the result interval contains
@@ -42,19 +81,23 @@ class GreyNumber:
     treated as the white number [k, k].
     """
 
+    __slots__ = __match_args__ = ("lower", "upper")
     lower: float
     upper: float
 
-    def __post_init__(self) -> None:
-        lo, hi = float(self.lower), float(self.upper)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+    def __init__(self, lower: float, upper: float) -> None:
+        try:
+            lo, hi = float(lower), float(upper)
+        except OverflowError:  # an int or fraction beyond the float range
             raise IntervalError(
-                f"interval endpoints must be finite, got [{self.lower}, {self.upper}]"
-            )
-        if lo > hi:
+                "interval endpoints must be finite, got an endpoint too large for a float"
+            ) from None
+        if not -math.inf < lo <= hi < math.inf:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise IntervalError(f"interval endpoints must be finite, got [{lower}, {upper}]")
             raise IntervalError(f"lower bound exceeds upper bound: [{lo}, {hi}]")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        _set_lower(self, lo)
+        _set_upper(self, hi)
 
     @property
     def is_white(self) -> bool:
@@ -146,6 +189,12 @@ class GreyNumber:
 
     def __str__(self) -> str:
         return f"[{_fmt(self.lower)}, {_fmt(self.upper)}]"
+
+
+# Bound slot setters: __setattr__ refuses every assignment, and calling the
+# slot descriptor directly is cheaper than object.__setattr__.
+_set_lower = GreyNumber.lower.__set__
+_set_upper = GreyNumber.upper.__set__
 
 
 def white(x: float) -> GreyNumber:

@@ -62,6 +62,21 @@ class TestConstruction:
     def test_white_helper(self):
         assert white(7.5) == GreyNumber(7.5, 7.5)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GreyNumber(10**400, 1),
+            lambda: GreyNumber(1, 10**400),
+            lambda: GreyNumber(-(10**400), 1),
+            lambda: GreyNumber(1, 2) * 10**400,
+            lambda: 10**5000 + GreyNumber(1, 2),
+        ],
+        ids=["lower", "upper", "negative-lower", "times-int", "int-too-long-to-print"],
+    )
+    def test_integer_beyond_the_float_range_rejected(self, build):
+        with pytest.raises(IntervalError, match="^interval endpoints must be finite, "):
+            build()
+
 
 class TestArithmetic:
     def test_add(self):

@@ -137,3 +137,17 @@ def test_assess_counts_loads_no_fuzzy_route_or_calculator(fmt):
 def test_check_tfn_loads_the_fuzzy_route():
     loaded = loaded_by("assess", "--counts", str(DATA / "table1.csv"), "--check-tfn")
     assert "tfn" in loaded and "expr" not in loaded
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_calc_does_not_import_dataclasses(fmt):
+    loaded = fresh(
+        f"""
+import contextlib, io, json, sys
+from greyassess.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["calc", "--format", {fmt!r}, "2 * ([85,100] + [75,84])"])
+print(json.dumps("dataclasses" in sys.modules))
+"""
+    )
+    assert loaded is False
