@@ -43,7 +43,6 @@ _HOMES = {
     "GreyNumber": "grey",
     "IntervalError": "grey",
     "ZeroDivisorError": "grey",
-    "white": "grey",
     "GradeScale": "scale",
     "OutOfDomainError": "scale",
     "ScaleFormatError": "scale",
@@ -52,7 +51,6 @@ _HOMES = {
     "format_scale_text": "scale",
     "parse_scale_text": "scale",
     "read_scale_file": "scale",
-    "strict_scale": "scale",
     "validate_scale": "scale",
     "write_scale_file": "scale",
     "EQUIVALENCE_TOLERANCE": "tfn",
@@ -60,7 +58,6 @@ _HOMES = {
     "TriangularFuzzyNumber": "tfn",
     "check_equivalence": "tfn",
     "defuzzify": "tfn",
-    "grade_tfn": "tfn",
     "tfn_mean": "tfn",
 }
 

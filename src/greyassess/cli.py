@@ -147,7 +147,7 @@ def _load_scale(args: argparse.Namespace) -> GradeScale:
     scale = _read_scale(args)
     violations = scale.validate()
     if violations:
-        raise ValueError("invalid scale:\n  " + "\n  ".join(violations))
+        raise ValueError("invalid scale: " + "; ".join(violations))
     return scale
 
 

@@ -120,16 +120,6 @@ class GreyNumber(_Value):
             raise ValueError(f"whitening parameter must be in [0, 1], got {t}")
         return min(max((1.0 - t) * self.lower + t * self.upper, self.lower), self.upper)
 
-    def scale(self, k: float) -> GreyNumber:
-        """Multiply by a positive real scalar: k*[a, b] = [k*a, k*b].
-
-        Only positive k is defined; for general scaling multiply by the
-        white number ``GreyNumber(k, k)`` instead.
-        """
-        if not k > 0:
-            raise ValueError(f"scalar factor must be positive, got {k}")
-        return GreyNumber(k * self.lower, k * self.upper)
-
     def __contains__(self, x: float) -> bool:
         return self.lower <= x <= self.upper
 
@@ -195,11 +185,6 @@ class GreyNumber(_Value):
 # slot descriptor directly is cheaper than object.__setattr__.
 _set_lower = GreyNumber.lower.__set__
 _set_upper = GreyNumber.upper.__set__
-
-
-def white(x: float) -> GreyNumber:
-    """The white number [x, x]."""
-    return GreyNumber(x, x)
 
 
 def _as_grey(value: object) -> GreyNumber | None:

@@ -49,15 +49,6 @@ class GradeScale:
         object.__setattr__(self, "domain_min", float(self.domain_min))
         object.__setattr__(self, "domain_max", float(self.domain_max))
 
-    def interval(self, label: str) -> GreyNumber:
-        """The grey number registered for a grade label (case-sensitive)."""
-        for entry_label, gn in self.entries:
-            if entry_label == label:
-                return gn
-        raise UnknownGradeError(
-            f"unknown grade {label!r}; scale defines {', '.join(self.labels)}"
-        )
-
     def classify(self, score: float) -> str:
         """Grade containing the score under the contiguous-partition rule.
 
@@ -133,19 +124,6 @@ def default_scale() -> GradeScale:
             ("C", GreyNumber(60, 74)),
             ("D", GreyNumber(50, 59)),
             ("F", GreyNumber(0, 49)),
-        )
-    )
-
-
-def strict_scale() -> GradeScale:
-    """A stricter alternative: A [90,100], B [80,89], C [70,79], D [60,69], F [0,59]."""
-    return GradeScale(
-        (
-            ("A", GreyNumber(90, 100)),
-            ("B", GreyNumber(80, 89)),
-            ("C", GreyNumber(70, 79)),
-            ("D", GreyNumber(60, 69)),
-            ("F", GreyNumber(0, 59)),
         )
     )
 

@@ -50,12 +50,6 @@ class EquivalenceCheck:
     passed: bool
 
 
-def grade_tfn(scale: GradeScale, label: str) -> TriangularFuzzyNumber:
-    """The grade's interval endpoints with the midpoint as peak."""
-    gn = scale.interval(label)
-    return TriangularFuzzyNumber(gn.lower, gn.midpoint, gn.upper)
-
-
 def tfn_mean(dist: GradeDistribution, scale: GradeScale) -> TriangularFuzzyNumber:
     """Componentwise count-weighted average of the grade fuzzy numbers.
 

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,10 @@ from greyassess import (
     Literal,
     ScoreSheet,
     default_scale,
+    read_scale_file,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 # §4 worked data: two student groups graded A..F, and five players scored
 # by six journalists on a 0-100 scale.
@@ -35,6 +39,11 @@ PLAYERS_UPPER = 2389 / 30
 PLAYERS_WHITENED = 4139 / 60
 PLAYERS_RAW_MEAN = 2162 / 30
 G1_TFN_PEAK = 4252.5 / 60  # 20*92.5 + 15*79.5 + 7*67 + 10*54.5 + 8*24.5
+
+
+def strict_scale():
+    """The stricter scale shipped as data/strict_scale.txt."""
+    return read_scale_file(DATA / "strict_scale.txt")
 
 
 def counts_csv_text():

@@ -84,8 +84,8 @@ def test_criterion_3_extreme_case_bracketing(scores_csv):
         sheet = load_scores_csv(scores_csv, scale)
         pooled = sheet.all_scores()
 
-        maxed = [scale.interval(scale.classify(s)).upper for s in pooled]
-        minned = [scale.interval(scale.classify(s)).lower for s in pooled]
+        maxed = [dict(scale.entries)[scale.classify(s)].upper for s in pooled]
+        minned = [dict(scale.entries)[scale.classify(s)].lower for s in pooled]
         high = sum(maxed) / len(maxed)
         low = sum(minned) / len(minned)
         assert high == pytest.approx(79.6333, abs=0.005)

@@ -18,7 +18,6 @@ from greyassess import (
     mean_gn,
     raw_mean,
     scores_to_distribution,
-    strict_scale,
 )
 
 from conftest import (
@@ -31,6 +30,7 @@ from conftest import (
     PLAYERS_UPPER,
     PLAYERS_WHITENED,
     random_distribution,
+    strict_scale,
 )
 
 

