@@ -44,7 +44,10 @@ class GradeDistribution:
                 raise ValueError(f"count for grade {label!r} must be an integer, got {count!r}")
             if count < 0:
                 raise ValueError(f"count for grade {label!r} is negative: {count}")
-            counts[str(label)] = count
+            key = str(label)
+            if key in counts:
+                raise ValueError(f"grade {key!r} is given more than once")
+            counts[key] = count
             n += count
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n", n)

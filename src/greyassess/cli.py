@@ -73,15 +73,65 @@ def _json_text(obj, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _print_json_list(entries: Iterable) -> None:
-    """Print ``json.dumps(list(entries), indent=2)``, writing each entry
-    before the next is drawn, so neither the list nor its text is held."""
+def _holes(entry: dict) -> dict:
+    """``entry`` with each leaf replaced by the empty string, the hole."""
+    return {k: _holes(v) if isinstance(v, dict) else "" for k, v in entry.items()}
+
+
+def _print_json_list(first: dict | None, leaves: Iterable[tuple]) -> None:
+    """Print ``json.dumps(entries, indent=2)`` for entries that all have the
+    nested keys of ``first``, the first entry, or ``[]`` when ``first`` is
+    None. Each entry is written before the next is drawn, so neither the
+    list nor its text is held.
+
+    ``leaves`` gives each entry's leaf values in key order: strings through
+    ``encode_basestring_ascii``, booleans as ``"true"``/``"false"``, ints
+    and floats as they are. They fill one %-template, which ``_json_text``
+    renders from ``first`` with every leaf a hole. Every float leaf is
+    checked to be finite, and the first filled entry must equal
+    ``_json_text(first)``.
+    """
     out = sys.stdout
-    sep = "[\n  "
-    for entry in entries:
-        out.write(sep + _json_text(entry, "\n  "))
-        sep = ",\n  "
-    out.write("[]\n" if sep == "[\n  " else "\n]\n")
+    rows = iter(leaves)
+    args = next(rows, None)
+    if args is None:
+        out.write("[]\n")
+        return
+    # A hole's quote follows ": " only at a value: inside a string a quote is
+    # escaped, and a key follows indentation.
+    template = _json_text(_holes(first), "\n  ").replace("%", "%%").replace(': ""', ": %s")
+    floats = [i for i, leaf in enumerate(args) if type(leaf) is float]
+    text = _fill(template, floats, args)
+    if text != _json_text(first, "\n  "):
+        raise AssertionError(f"the JSON leaves do not match the entry's keys: {list(first)}")
+    out.write("[\n  " + text)
+    for args in rows:
+        out.write(",\n  " + _fill(template, floats, args))
+    out.write("\n]\n")
+
+
+def _fill(template: str, floats: list[int], args: tuple) -> str:
+    """``template % args``, if the leaves at the ``floats`` positions are finite."""
+    if not all(map(math.isfinite, map(args.__getitem__, floats))):
+        for x in map(args.__getitem__, floats):
+            _json_text(x)  # raises the writer's ValueError at the first non-finite leaf
+    return template % args
+
+
+def _report_leaves(report: AssessmentReport) -> tuple:
+    """The leaves of ``report.to_dict()`` in key order, as ``_print_json_list`` takes them."""
+    gn = report.mean_gn
+    counts = report.distribution.counts
+    return (
+        encode_basestring_ascii(report.group_id),
+        report.n,
+        gn.lower,
+        gn.upper,
+        report.whitened,
+        encode_basestring_ascii(report.grade),
+        report.t,
+        *[counts.get(label, 0) for label in report.scale.labels],
+    )
 
 
 def _t_value(text: str) -> float:
@@ -195,10 +245,16 @@ def _cmd_assess(args: argparse.Namespace) -> int:
         checks = [check_equivalence(r.distribution, scale) for r in reports]
 
     if args.format == "json":
-        _print_json_list(
-            {**report.to_dict(), **extras, **({} if check is None else {"tfn_check": vars(check)})}
-            for report, check in zip_longest(reports, checks)
-        )
+        first = {**reports[0].to_dict(), **extras} if reports else None
+        tail = tuple(extras.values())
+        rows = ((*_report_leaves(report), *tail) for report in reports)
+        if checks:
+            first["tfn_check"] = vars(checks[0])
+            rows = (
+                (*row, c.gn_value, c.tfn_value, c.peak, c.difference, "true" if c.passed else "false")
+                for row, c in zip(rows, checks)
+            )
+        _print_json_list(first, rows)
     else:
         for report, check in zip_longest(reports, checks):
             counts = " ".join(f"{label}:{report.distribution.count(label)}" for label in scale.labels)
@@ -231,7 +287,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ranked.extend((rank, tied, report) for report in group)
         rank += len(group)
     if args.format == "json":
-        _print_json_list({"rank": rank, **report.to_dict()} for rank, _, report in ranked)
+        _print_json_list(
+            {"rank": ranked[0][0], **ranked[0][2].to_dict()} if ranked else None,
+            ((rank, *_report_leaves(report)) for rank, _, report in ranked),
+        )
     else:
         for rank, tied, report in ranked:
             print(

@@ -213,7 +213,7 @@ def format_scale_text(scale: GradeScale) -> str:
 
 
 def _num(x: float) -> str:
-    return str(int(x)) if x == int(x) else repr(x)
+    return str(int(x)) if x.is_integer() else repr(x)
 
 
 def read_scale_file(path: str | Path) -> GradeScale:

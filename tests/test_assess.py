@@ -49,6 +49,11 @@ class TestGradeDistribution:
         with pytest.raises(ValueError):
             GradeDistribution({"A": 2.5})
 
+    def test_labels_equal_as_str_rejected(self):
+        # the counts dict keys labels by str, so n would count both and the counts only one
+        with pytest.raises(ValueError, match="grade '1' is given more than once"):
+            GradeDistribution({1: 2, "1": 3})
+
     def test_equal_distributions_hash_equal(self):
         forward = GradeDistribution({"A": 1, "B": 2})
         backward = GradeDistribution({"B": 2, "A": 1})

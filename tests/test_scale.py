@@ -171,6 +171,15 @@ class TestScaleFiles:
         scale = parse_scale_text("domain 0.5 20\nhigh 10.25 20\nlow 0.5 9\n")
         assert parse_scale_text(format_scale_text(scale)) == scale
 
+    def test_format_roundtrip_infinite_domain(self, tmp_path):
+        # parse accepts a non-finite domain end; format writes it back as inf
+        scale = parse_scale_text("domain 0 inf\nA 50 100\nB 0 49\n")
+        assert format_scale_text(scale) == "domain 0 inf\nA 50 100\nB 0 49\n"
+        assert parse_scale_text(format_scale_text(scale)) == scale
+        path = tmp_path / "scale.txt"
+        write_scale_file(scale, path)
+        assert read_scale_file(path) == scale
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "scale.txt"
         write_scale_file(strict_scale(), path)
