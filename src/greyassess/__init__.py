@@ -22,7 +22,6 @@ _HOMES = {
     "AssessmentReport": "assessment",
     "GradeDistribution": "assessment",
     "ScoreSheet": "assessment",
-    "TIE_TOLERANCE": "assessment",
     "assess": "assessment",
     "compare_groups": "assessment",
     "mean_gn": "assessment",

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
+from operator import attrgetter, mul
 from typing import Iterable, Mapping, Sequence
 
-from .grey import GreyNumber
+from .grey import GreyNumber, _whiten
 from .scale import GradeScale, OutOfDomainError, UnknownGradeError
-
-#: Whitened values closer than this compare as tied.
-TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,19 +107,12 @@ class AssessmentReport:
 def mean_gn(dist: GradeDistribution, scale: GradeScale) -> GreyNumber:
     """Count-weighted mean grey number sum(count_g * interval_g) / n.
 
-    Accumulation runs in scale order, so the result does not depend on the
-    mapping order of the distribution. Each endpoint sum is divided once by
-    n, so a single-grade group whose sums are exact reproduces its interval.
+    Each endpoint is the exact mean rounded once, so it does not depend on
+    the mapping order of the distribution, and a single-grade group
+    reproduces its interval.
     """
-    n = _graded_count(dist, scale)
-    # -0.0 is the exact additive identity; GreyNumber rejects an overflowed sum
-    lower = upper = -0.0
-    for label, gn in scale.entries:
-        count = dist.count(label)
-        if count:
-            lower += count * gn.lower
-            upper += count * gn.upper
-    return GreyNumber(lower / n, upper / n)
+    lower, upper, den = _endpoint_sums(dist, scale)
+    return GreyNumber(lower / den, upper / den)
 
 
 def assess(
@@ -129,9 +121,13 @@ def assess(
     t: float = 0.5,
     group_id: str = "group",
 ) -> AssessmentReport:
-    """Assess one group: mean grey number, whitened value, linguistic grade."""
-    mean = mean_gn(dist, scale)
-    whitened = mean.whiten(t)
+    """Assess one group: mean grey number, whitened value, linguistic grade.
+
+    The whitened value is the exact mean whitened at t, rounded once.
+    """
+    lower, upper, den = _endpoint_sums(dist, scale)
+    mean = GreyNumber(lower / den, upper / den)
+    whitened = _whiten(lower, upper, den, t)
     grade = scale.classify(whitened)
     return AssessmentReport(group_id, dist.n, mean, whitened, grade, dist, t, scale)
 
@@ -168,9 +164,9 @@ def raw_mean(sheet: ScoreSheet) -> float:
 def compare_groups(reports: Sequence[AssessmentReport]) -> list[list[AssessmentReport]]:
     """Rank reports by whitened value, best first.
 
-    Returns tie groups: each inner list holds the reports whose whitened
-    values lie within ``TIE_TOLERANCE`` of its first, best report. All
-    reports must share the same scale and whitening parameter.
+    Returns tie groups: each inner list holds the reports with one whitened
+    value, in input order. All reports must share the same scale and
+    whitening parameter.
     """
     if not reports:
         return []
@@ -181,14 +177,21 @@ def compare_groups(reports: Sequence[AssessmentReport]) -> list[list[AssessmentR
                 "cannot compare reports produced under different scales "
                 "or whitening parameters"
             )
-    ordered = sorted(reports, key=lambda r: -r.whitened)
-    groups: list[list[AssessmentReport]] = [[ordered[0]]]
-    for report in ordered[1:]:
-        if abs(groups[-1][0].whitened - report.whitened) < TIE_TOLERANCE:
-            groups[-1].append(report)
-        else:
-            groups.append([report])
-    return groups
+    whitened = attrgetter("whitened")
+    ordered = sorted(reports, key=whitened, reverse=True)
+    return [list(tied) for _, tied in groupby(ordered, whitened)]
+
+
+def _endpoint_sums(dist: GradeDistribution, scale: GradeScale) -> tuple[int, int, int]:
+    """The exact mean as integers: sum count*lower and sum count*upper over
+    the scale's endpoint numerators, and n times their denominator."""
+    n = _graded_count(dist, scale)
+    counts = list(map(dist.counts.get, scale.labels, repeat(0)))
+    return (
+        sum(map(mul, counts, scale.lower_nums)),
+        sum(map(mul, counts, scale.upper_nums)),
+        n * scale.denominator,
+    )
 
 
 def _graded_count(dist: GradeDistribution, scale: GradeScale) -> int:

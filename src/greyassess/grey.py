@@ -25,6 +25,15 @@ def _half_sum(x: float, y: float) -> float:
     return mid if math.isfinite(mid) else x / 2 + y / 2
 
 
+def _whiten(lower: int, upper: int, den: int, t: float) -> float:
+    """(lower + t*(upper - lower)) / den for t in [0, 1], the exact value
+    rounded once: integer true division rounds correctly."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"whitening parameter must be in [0, 1], got {t}")
+    c, r = t.as_integer_ratio()
+    return (lower * r + c * (upper - lower)) / (den * r)
+
+
 def _fmt(x: float) -> str:
     # up to 4 decimal places, trailing zeros trimmed
     s = f"{x:.4f}".rstrip("0").rstrip(".")
@@ -109,16 +118,16 @@ class GreyNumber(_Value):
         return _half_sum(self.lower, self.upper)
 
     def whiten(self, t: float = 0.5) -> float:
-        """Representative real value (1-t)*lower + t*upper.
+        """Representative real value (1-t)*lower + t*upper, rounded once.
 
         t must lie in [0, 1]; t=0 gives the lower endpoint, t=1 the upper.
         The default t=1/2 (the midpoint) is the choice when nothing is known
-        about the distribution inside the interval. The result is clamped
-        into [lower, upper], which rounding can otherwise leave by one ulp.
+        about the distribution inside the interval. The value is computed
+        exactly, so it lies in [lower, upper] and is monotone in t.
         """
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"whitening parameter must be in [0, 1], got {t}")
-        return min(max((1.0 - t) * self.lower + t * self.upper, self.lower), self.upper)
+        lower, d_lower = self.lower.as_integer_ratio()
+        upper, d_upper = self.upper.as_integer_ratio()
+        return _whiten(lower * d_upper, upper * d_lower, d_lower * d_upper, t)
 
     def __contains__(self, x: float) -> bool:
         return self.lower <= x <= self.upper

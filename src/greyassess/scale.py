@@ -42,10 +42,20 @@ class GradeScale:
     domain_max: float = 100.0
     #: The grade labels in scale order, derived from ``entries``.
     labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: The grade endpoints in scale order as integers over one power of two.
+    lower_nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    upper_nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple((str(l), gn) for l, gn in self.entries))
         object.__setattr__(self, "labels", tuple(label for label, _ in self.entries))
+        ratios = [x.as_integer_ratio() for _, gn in self.entries for x in (gn.lower, gn.upper)]
+        den = max([d for _, d in ratios], default=1)
+        nums = [n * (den // d) for n, d in ratios]
+        object.__setattr__(self, "lower_nums", tuple(nums[0::2]))
+        object.__setattr__(self, "upper_nums", tuple(nums[1::2]))
+        object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "domain_min", float(self.domain_min))
         object.__setattr__(self, "domain_max", float(self.domain_max))
 
@@ -203,7 +213,17 @@ def _parse_num(cell: str, lineno: int) -> float:
 
 
 def format_scale_text(scale: GradeScale) -> str:
-    """Render a scale in the definition file format (parse round-trips)."""
+    """Render a scale in the definition file format (parse round-trips).
+
+    A scale that would not read back raises ValueError: one without grades,
+    or with a label that is empty or ``domain``, starts with ``#`` or a byte
+    order mark, or holds whitespace.
+    """
+    if not scale.entries:
+        raise ValueError("a scale file needs at least one grade")
+    for label in scale.labels:
+        if label in ("", "domain") or label[0] in "#\ufeff" or any(map(str.isspace, label)):
+            raise ValueError(f"grade label {label!r} cannot be written to a scale file")
     lines: list[str] = []
     if (scale.domain_min, scale.domain_max) != (0.0, 100.0):
         lines.append(f"domain {_num(scale.domain_min)} {_num(scale.domain_max)}")
@@ -221,4 +241,5 @@ def read_scale_file(path: str | Path) -> GradeScale:
 
 
 def write_scale_file(scale: GradeScale, path: str | Path) -> None:
-    Path(path).write_text(format_scale_text(scale), encoding="utf-8")
+    # encoded before the file is opened, so text that is not UTF-8 leaves it untouched
+    Path(path).write_bytes(format_scale_text(scale).encode("utf-8"))

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .assessment import GradeDistribution, _graded_count, mean_gn
-from .grey import _half_sum
+from .assessment import GradeDistribution, _endpoint_sums, _graded_count
+from .grey import _half_sum, _whiten
 from .scale import GradeScale
 
-#: The two assessment routes must agree within this absolute tolerance.
+#: The two assessment routes must agree within this tolerance, relative to
+#: the larger of 1 and the grey-number route's value.
 EQUIVALENCE_TOLERANCE = 1e-9
 
 
@@ -43,7 +44,7 @@ class TriangularFuzzyNumber:
 class EquivalenceCheck:
     """Agreement report between the grey-number and fuzzy-number routes."""
 
-    gn_value: float  # mean grey number whitened at t=1/2
+    gn_value: float  # exact mean grey number whitened at t=1/2, rounded once
     tfn_value: float  # defuzzified mean fuzzy number, (a+c)/2
     peak: float  # mean fuzzy number's peak component
     difference: float
@@ -77,8 +78,8 @@ def defuzzify(tfn: TriangularFuzzyNumber) -> float:
 
 
 def check_equivalence(dist: GradeDistribution, scale: GradeScale) -> EquivalenceCheck:
-    """Compare whiten(mean_gn, 1/2) against defuzzify(tfn_mean)."""
-    gn_value = mean_gn(dist, scale).whiten(0.5)
+    """Compare the exact mean whitened at t=1/2 against defuzzify(tfn_mean)."""
+    gn_value = _whiten(*_endpoint_sums(dist, scale), 0.5)
     mean_tfn = tfn_mean(dist, scale)
     tfn_value = defuzzify(mean_tfn)
     difference = abs(gn_value - tfn_value)
@@ -87,5 +88,5 @@ def check_equivalence(dist: GradeDistribution, scale: GradeScale) -> Equivalence
         tfn_value=tfn_value,
         peak=mean_tfn.b,
         difference=difference,
-        passed=difference <= EQUIVALENCE_TOLERANCE,
+        passed=difference <= EQUIVALENCE_TOLERANCE * max(1.0, abs(gn_value)),
     )

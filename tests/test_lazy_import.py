@@ -71,7 +71,6 @@ def test_public_names():
         "OutOfDomainError",
         "ScaleFormatError",
         "ScoreSheet",
-        "TIE_TOLERANCE",
         "TriangularFuzzyNumber",
         "UnknownGradeError",
         "ZeroDivisorError",

@@ -39,7 +39,18 @@ class TestBuiltinScales:
         entries = (("X", GreyNumber(50, 100)), ("Y", GreyNumber(0, 49)))
         scale = dataclasses.replace(default_scale(), entries=entries)
         assert scale.labels == ("X", "Y")
+        assert (scale.lower_nums, scale.upper_nums, scale.denominator) == ((50, 0), (100, 49), 1)
         assert scale == GradeScale(entries)
+
+    def test_endpoints_over_one_power_of_two(self):
+        scale = parse_scale_text("A 85.3 100\nB 0.25 85.2\n")
+        den = scale.denominator
+        assert den & (den - 1) == 0
+        for (_, gn), lower, upper in zip(scale.entries, scale.lower_nums, scale.upper_nums):
+            assert (lower / den, upper / den) == (gn.lower, gn.upper)
+        # the least such denominator: some numerator is odd
+        assert den == 1 or any(num % 2 for num in scale.lower_nums + scale.upper_nums)
+        assert "lower_nums" not in repr(scale)
 
     def test_builtin_scales_are_valid(self):
         assert validate_scale(default_scale()) == []
@@ -179,6 +190,37 @@ class TestScaleFiles:
         path = tmp_path / "scale.txt"
         write_scale_file(scale, path)
         assert read_scale_file(path) == scale
+
+    @given(st.text())
+    def test_format_writes_only_what_parses_back(self, label):
+        scale = GradeScale(((label, GreyNumber(50, 100)), ("F", GreyNumber(0, 49))))
+        try:
+            text = format_scale_text(scale)
+        except ValueError:
+            assert label == "domain" or not label.isalnum()
+            return
+        assert parse_scale_text(text) == scale
+
+    @pytest.mark.parametrize("label", ["#A", "domain", "A B", "A\u2028B", "\ufeffA", ""])
+    def test_unwritable_label_rejected_before_writing(self, label, tmp_path):
+        scale = GradeScale(((label, GreyNumber(50, 100)), ("F", GreyNumber(0, 49))))
+        path = tmp_path / "scale.txt"
+        path.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="cannot be written to a scale file"):
+            write_scale_file(scale, path)
+        assert path.read_text(encoding="utf-8") == "kept\n"
+
+    def test_label_not_utf8_leaves_the_file(self, tmp_path):
+        scale = GradeScale((("\ud800", GreyNumber(50, 100)), ("F", GreyNumber(0, 49))))
+        path = tmp_path / "scale.txt"
+        path.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            write_scale_file(scale, path)
+        assert path.read_text(encoding="utf-8") == "kept\n"
+
+    def test_scale_without_grades_rejected(self):
+        with pytest.raises(ValueError, match="at least one grade"):
+            format_scale_text(GradeScale(()))
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "scale.txt"
