@@ -42,67 +42,32 @@ def _gn2(gn) -> str:
     return f"[{_round2(gn.lower)}, {_round2(gn.upper)}]"
 
 
-def _json_text(obj, indent: str = "\n") -> str:
-    """``obj`` as ``json.dumps(obj, indent=2)`` writes it, for dicts with str
-    keys, lists, str, int, bool and finite floats; anything else raises
-    TypeError, and a non-finite float ValueError. ``indent`` is the line
-    break and indentation of the line ``obj`` starts on."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        return float.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()
-        ) + indent + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _holes(entry: dict) -> dict:
     """``entry`` with each leaf replaced by the empty string, the hole."""
     return {k: _holes(v) if isinstance(v, dict) else "" for k, v in entry.items()}
 
 
-def _print_json_list(first: dict | None, leaves: Iterable[tuple]) -> None:
+def _print_json_list(first: dict, leaves: Iterable[tuple]) -> None:
     """Print ``json.dumps(entries, indent=2)`` for entries that all have the
-    nested keys of ``first``, the first entry, or ``[]`` when ``first`` is
-    None. Each entry is written before the next is drawn, so neither the
-    list nor its text is held.
+    nested keys of ``first``, the first entry. Each entry is written before
+    the next is drawn, so neither the list nor its text is held.
 
     ``leaves`` gives each entry's leaf values in key order: strings through
     ``encode_basestring_ascii``, booleans as ``"true"``/``"false"``, ints
-    and floats as they are. They fill one %-template, which ``_json_text``
+    and floats as they are. They fill one %-template, which ``json.dumps``
     renders from ``first`` with every leaf a hole. Every float leaf is
     checked to be finite, and the first filled entry must equal
-    ``_json_text(first)``.
+    ``json.dumps(first)``.
     """
     out = sys.stdout
     rows = iter(leaves)
-    args = next(rows, None)
-    if args is None:
-        out.write("[]\n")
-        return
+    args = next(rows)
     # A hole's quote follows ": " only at a value: inside a string a quote is
     # escaped, and a key follows indentation.
-    template = _json_text(_holes(first), "\n  ").replace("%", "%%").replace(': ""', ": %s")
+    template = _entry_json(_holes(first)).replace("%", "%%").replace(': ""', ": %s")
     floats = [i for i, leaf in enumerate(args) if type(leaf) is float]
     text = _fill(template, floats, args)
-    if text != _json_text(first, "\n  "):
+    if text != _entry_json(first):
         raise AssertionError(f"the JSON leaves do not match the entry's keys: {list(first)}")
     out.write("[\n  " + text)
     for args in rows:
@@ -110,11 +75,17 @@ def _print_json_list(first: dict | None, leaves: Iterable[tuple]) -> None:
     out.write("\n]\n")
 
 
+def _entry_json(entry: dict) -> str:
+    """``entry`` as ``json.dumps`` writes it inside an indent-2 top-level list;
+    json escapes every line break inside a string."""
+    return json.dumps(entry, indent=2, allow_nan=False).replace("\n", "\n  ")
+
+
 def _fill(template: str, floats: list[int], args: tuple) -> str:
     """``template % args``, if the leaves at the ``floats`` positions are finite."""
     if not all(map(math.isfinite, map(args.__getitem__, floats))):
-        for x in map(args.__getitem__, floats):
-            _json_text(x)  # raises the writer's ValueError at the first non-finite leaf
+        # raises json's ValueError, which names the first non-finite leaf
+        json.dumps([args[i] for i in floats], indent=2, allow_nan=False)
     return template % args
 
 
@@ -245,7 +216,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
         checks = [check_equivalence(r.distribution, scale) for r in reports]
 
     if args.format == "json":
-        first = {**reports[0].to_dict(), **extras} if reports else None
+        first = {**reports[0].to_dict(), **extras}
         tail = tuple(extras.values())
         rows = ((*_report_leaves(report), *tail) for report in reports)
         if checks:
@@ -288,7 +259,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         rank += len(group)
     if args.format == "json":
         _print_json_list(
-            {"rank": ranked[0][0], **ranked[0][2].to_dict()} if ranked else None,
+            {"rank": ranked[0][0], **ranked[0][2].to_dict()},
             ((rank, *_report_leaves(report)) for rank, _, report in ranked),
         )
     else:
@@ -304,7 +275,7 @@ def _cmd_validate_scale(args: argparse.Namespace) -> int:
     scale = _read_scale(args)
     violations = scale.validate()
     if args.format == "json":
-        print(_json_text({"valid": not violations, "violations": violations}))
+        print(json.dumps({"valid": not violations, "violations": violations}, indent=2))
     elif violations:
         for violation in violations:
             print(f"violation: {violation}")

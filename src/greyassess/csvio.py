@@ -100,9 +100,10 @@ def dump_counts_csv(
     Every group is written with one row per scale label, so a grade a
     distribution leaves out loads back as an explicit zero. Anything that
     would not load back raises ValueError before anything is written: no
-    groups at all; a group id or grade label holding a comma or a line
-    break, padded with whitespace, or, for a group id, starting with ``#``;
-    a count too large for a float; or a grade the scale does not define.
+    groups at all; a group id or grade label holding a comma, a line break
+    or a lone surrogate, padded with whitespace, or, for a group id,
+    starting with ``#``; a count too large for a float; or a grade the
+    scale does not define.
     """
     if not groups:
         raise ValueError("no groups to write to a counts CSV")
@@ -123,12 +124,18 @@ def dump_counts_csv(
     for group, dist in groups.items():
         for label in scale.labels:
             lines.append(f"{group},{label},{dist.count(label)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _loads_back(cell: str) -> bool:
-    """Whether ``cell`` reads back as itself from a cell of a loaded line."""
-    return "," not in cell and cell == cell.strip() and "".join(cell.splitlines()) == cell
+    """Whether ``cell`` reads back as itself from a cell of a loaded UTF-8
+    line, which a lone surrogate cannot be written to."""
+    return (
+        "," not in cell
+        and cell == cell.strip()
+        and "".join(cell.splitlines()) == cell
+        and cell.encode("utf-8", "replace").decode("utf-8") == cell
+    )
 
 
 def load_scores_csv(path: str | Path, scale: GradeScale) -> ScoreSheet:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from greyassess import assess, check_equivalence, load_counts_csv, tfn
 from greyassess.cli import _round2, main
 
 from conftest import G2_LOWER, G2_UPPER, PLAYERS_RAW_MEAN, PLAYERS_WHITENED
@@ -73,6 +74,46 @@ class TestAssessCommand:
         )
         payload = json.loads(out)
         assert all(entry["tfn_check"]["passed"] for entry in payload)
+
+    @staticmethod
+    def skew_tfn_mean(monkeypatch, failing_n):
+        """Make the fuzzy route of the group of ``failing_n`` objects disagree."""
+        exact = tfn.tfn_mean
+
+        def skewed(dist, scale):
+            mean = exact(dist, scale)
+            if dist.n != failing_n:
+                return mean
+            return tfn.TriangularFuzzyNumber(mean.a, mean.b, mean.c * (1 + 1e-6))
+
+        monkeypatch.setattr(tfn, "tfn_mean", skewed)
+
+    def test_check_tfn_failure_is_reported_with_exit_0(self, capsys, counts_csv, monkeypatch):
+        self.skew_tfn_mean(monkeypatch, failing_n=85)  # G2
+        code, out, err = run(capsys, "assess", "--counts", str(counts_csv), "--check-tfn")
+        assert code == 0 and err == ""
+        assert "G1: tfn-equivalence PASS" in out
+        assert "G2: tfn-equivalence FAIL (difference 4.0e-05, tolerance 1e-09)\n" in out
+
+    @pytest.mark.parametrize("failing_n", [60, 85], ids=["first-entry", "later-entry"])
+    def test_check_tfn_failure_json(self, capsys, counts_csv, scale, monkeypatch, failing_n):
+        self.skew_tfn_mean(monkeypatch, failing_n)
+        code, out, _ = run(
+            capsys, "assess", "--counts", str(counts_csv), "--check-tfn", "--format", "json"
+        )
+        assert code == 0
+        payload = [
+            {**report.to_dict(), "tfn_check": vars(check_equivalence(report.distribution, scale))}
+            for report in (
+                assess(dist, scale, group_id=group)
+                for group, dist in load_counts_csv(counts_csv, scale).items()
+            )
+        ]
+        assert [entry["tfn_check"]["passed"] for entry in payload] == [
+            entry["n"] != failing_n for entry in payload
+        ]
+        assert out.count('"passed": false') == 1
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_custom_t(self, capsys, counts_csv):
         code, out, _ = run(

@@ -97,8 +97,9 @@ class TestLoadCounts:
 
     @pytest.mark.parametrize(
         "group",
-        ["#x", " padded", "padded\t", "a,b", "a\nb", "a\u2028b"],
-        ids=["comment", "leading-space", "trailing-tab", "comma", "newline", "line-separator"],
+        ["#x", " padded", "padded\t", "a,b", "a\nb", "a\u2028b", "G\ud800"],
+        ids=["comment", "leading-space", "trailing-tab", "comma", "newline", "line-separator",
+             "lone-surrogate"],
     )
     def test_dump_refuses_group_id_that_cannot_load_back(self, tmp_path, scale, group):
         out = tmp_path / "out.csv"
@@ -106,6 +107,10 @@ class TestLoadCounts:
         with pytest.raises(ValueError, match=re.escape(f"group id {group!r} cannot be written")):
             dump_counts_csv(groups, out, scale)
         assert not out.exists()
+        out.write_bytes(b"kept")
+        with pytest.raises(ValueError, match=re.escape(f"group id {group!r} cannot be written")):
+            dump_counts_csv(groups, out, scale)
+        assert out.read_bytes() == b"kept"
 
     def test_dump_refuses_no_groups(self, tmp_path, scale):
         out = tmp_path / "out.csv"
@@ -134,13 +139,19 @@ class TestLoadCounts:
             "G1": GradeDistribution({label: 3 if label == "B" else 0 for label in scale.labels})
         }
 
-    @pytest.mark.parametrize("label", [" A", "A,B", "A\rB"], ids=["padded", "comma", "return"])
+    @pytest.mark.parametrize(
+        "label", [" A", "A,B", "A\rB", "A\udc00"], ids=["padded", "comma", "return", "lone-surrogate"]
+    )
     def test_dump_refuses_grade_label_that_cannot_load_back(self, tmp_path, label):
         scale = GradeScale(((label, GreyNumber(50, 100)), ("F", GreyNumber(0, 49))))
         out = tmp_path / "out.csv"
         with pytest.raises(ValueError, match=re.escape(f"grade label {label!r} cannot be written")):
             dump_counts_csv({"G1": GradeDistribution({"F": 1})}, out, scale)
         assert not out.exists()
+        out.write_bytes(b"kept")
+        with pytest.raises(ValueError, match=re.escape(f"grade label {label!r} cannot be written")):
+            dump_counts_csv({"G1": GradeDistribution({"F": 1})}, out, scale)
+        assert out.read_bytes() == b"kept"
 
 
 class TestLoadScores:
