@@ -28,7 +28,6 @@ _HOMES = {
     "raw_mean": "assessment",
     "scores_to_distribution": "assessment",
     "DataFormatError": "csvio",
-    "dump_counts_csv": "csvio",
     "load_counts_csv": "csvio",
     "load_scores_csv": "csvio",
     "BinaryOp": "expr",
@@ -47,11 +46,9 @@ _HOMES = {
     "ScaleFormatError": "scale",
     "UnknownGradeError": "scale",
     "default_scale": "scale",
-    "format_scale_text": "scale",
     "parse_scale_text": "scale",
     "read_scale_file": "scale",
     "validate_scale": "scale",
-    "write_scale_file": "scale",
     "EQUIVALENCE_TOLERANCE": "tfn",
     "EquivalenceCheck": "tfn",
     "TriangularFuzzyNumber": "tfn",

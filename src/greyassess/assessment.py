@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
-from operator import attrgetter, mul
+from itertools import chain, groupby, repeat
+from operator import attrgetter, mul, neg
 from typing import Iterable, Mapping, Sequence
 
 from .grey import GreyNumber, _whiten
@@ -71,10 +71,6 @@ class ScoreSheet:
             if not scores:
                 raise ValueError(f"subject {subject!r} has no scores")
         object.__setattr__(self, "subjects", normalized)
-
-    def all_scores(self) -> list[float]:
-        """Every score of every subject, pooled in subject order."""
-        return [s for _, scores in self.subjects for s in scores]
 
 
 @dataclass(frozen=True)
@@ -153,12 +149,31 @@ def _tally(pairs: Iterable[tuple[str, Iterable[float]]], scale: GradeScale) -> G
 
 
 def raw_mean(sheet: ScoreSheet) -> float:
-    """Arithmetic mean of all pooled scores; ValueError if their sum overflows."""
-    scores = sheet.all_scores()
-    total = sum(scores)
-    if not math.isfinite(total):
+    """Arithmetic mean of all pooled scores, the exact mean rounded once;
+    ValueError if their sum does not fit a float."""
+    from fractions import Fraction
+
+    def rest(parts: list[float]) -> float:
+        # the exact sum of the scores less ``parts``, rounded once
+        return math.fsum(chain(chain.from_iterable(s for _, s in sheet.subjects), map(neg, parts)))
+
+    try:
+        parts = [rest([])]
+    except OverflowError:
+        parts = [math.inf]
+    if not math.isfinite(parts[0]):
         raise ValueError("sum of the scores is too large for a float")
-    return total / len(scores)
+    parts.append(rest(parts))
+    n = sum(len(scores) for _, scores in sheet.subjects)
+    # the exact sum lies within half an ulp of parts[1] from sum(parts)
+    mean = sum(map(Fraction, parts)) / n
+    slack = Fraction(math.ulp(parts[1])) / (2 * n)
+    if float(mean - slack) != float(mean + slack):
+        # a rounding midpoint is too near: sum the residuals until one is 0
+        while parts[-1]:
+            parts.append(rest(parts))
+        mean = sum(map(Fraction, parts)) / n
+    return float(mean)
 
 
 def compare_groups(reports: Sequence[AssessmentReport]) -> list[list[AssessmentReport]]:

@@ -1,4 +1,4 @@
-"""CSV ingestion and emission for grade counts and raw score sheets.
+"""CSV ingestion for grade counts and raw score sheets.
 
 Both formats are plain comma-separated UTF-8, after an optional byte order
 mark, with a mandatory header and no quoting; lines starting with ``#`` and
@@ -9,7 +9,7 @@ score files ``subject,score`` rows (one row per observation).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .assessment import GradeDistribution, ScoreSheet
 from .scale import GradeScale, _lines, _read_text
@@ -90,52 +90,6 @@ def load_counts_csv(path: str | Path, scale: GradeScale) -> dict[str, GradeDistr
         group: GradeDistribution({label: counts.get(label, 0) for label in labels})
         for group, counts in raw_counts.items()
     }
-
-
-def dump_counts_csv(
-    groups: Mapping[str, GradeDistribution], path: str | Path, scale: GradeScale
-) -> None:
-    """Write groups back out; loading the result reproduces their counts.
-
-    Every group is written with one row per scale label, so a grade a
-    distribution leaves out loads back as an explicit zero. Anything that
-    would not load back raises ValueError before anything is written: no
-    groups at all; a group id or grade label holding a comma, a line break
-    or a lone surrogate, padded with whitespace, or, for a group id,
-    starting with ``#``; a count too large for a float; or a grade the
-    scale does not define.
-    """
-    if not groups:
-        raise ValueError("no groups to write to a counts CSV")
-    for label in scale.labels:
-        if not _loads_back(label):
-            raise ValueError(f"grade label {label!r} cannot be written to a counts CSV")
-    for group, dist in groups.items():
-        if not _loads_back(group) or group.startswith("#"):
-            raise ValueError(f"group id {group!r} cannot be written to a counts CSV")
-        for label, count in dist.counts.items():
-            if label not in scale.labels:
-                raise ValueError(f"group {group!r} has grade {label!r}, which the scale does not define")
-            try:
-                float(count)
-            except OverflowError:
-                raise ValueError(f"count for {group},{label} is too large for a float") from None
-    lines = [",".join(COUNTS_HEADER)]
-    for group, dist in groups.items():
-        for label in scale.labels:
-            lines.append(f"{group},{label},{dist.count(label)}")
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def _loads_back(cell: str) -> bool:
-    """Whether ``cell`` reads back as itself from a cell of a loaded UTF-8
-    line, which a lone surrogate cannot be written to."""
-    return (
-        "," not in cell
-        and cell == cell.strip()
-        and "".join(cell.splitlines()) == cell
-        and cell.encode("utf-8", "replace").decode("utf-8") == cell
-    )
 
 
 def load_scores_csv(path: str | Path, scale: GradeScale) -> ScoreSheet:

@@ -212,34 +212,6 @@ def _parse_num(cell: str, lineno: int) -> float:
         raise ScaleFormatError(f"line {lineno}: not a number: {cell!r}") from None
 
 
-def format_scale_text(scale: GradeScale) -> str:
-    """Render a scale in the definition file format (parse round-trips).
-
-    A scale that would not read back raises ValueError: one without grades,
-    or with a label that is empty or ``domain``, starts with ``#`` or a byte
-    order mark, or holds whitespace.
-    """
-    if not scale.entries:
-        raise ValueError("a scale file needs at least one grade")
-    for label in scale.labels:
-        if label in ("", "domain") or label[0] in "#\ufeff" or any(map(str.isspace, label)):
-            raise ValueError(f"grade label {label!r} cannot be written to a scale file")
-    lines: list[str] = []
-    if (scale.domain_min, scale.domain_max) != (0.0, 100.0):
-        lines.append(f"domain {_num(scale.domain_min)} {_num(scale.domain_max)}")
-    for label, gn in scale.entries:
-        lines.append(f"{label} {_num(gn.lower)} {_num(gn.upper)}")
-    return "\n".join(lines) + "\n"
-
-
-def _num(x: float) -> str:
-    return str(int(x)) if x.is_integer() else repr(x)
-
-
 def read_scale_file(path: str | Path) -> GradeScale:
     return parse_scale_text(_read_text(path, ScaleFormatError))
 
-
-def write_scale_file(scale: GradeScale, path: str | Path) -> None:
-    # encoded before the file is opened, so text that is not UTF-8 leaves it untouched
-    Path(path).write_bytes(format_scale_text(scale).encode("utf-8"))

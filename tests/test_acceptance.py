@@ -82,7 +82,7 @@ def test_criterion_3_extreme_case_bracketing(scores_csv):
     with criterion(3, "extreme scores bracket the mean grey number and average to w(M)"):
         scale = default_scale()
         sheet = load_scores_csv(scores_csv, scale)
-        pooled = sheet.all_scores()
+        pooled = [score for _, scores in sheet.subjects for score in scores]
 
         maxed = [dict(scale.entries)[scale.classify(s)].upper for s in pooled]
         minned = [dict(scale.entries)[scale.classify(s)].lower for s in pooled]

@@ -73,7 +73,7 @@ class TestGradeDistribution:
 class TestScoreSheet:
     def test_pooling_keeps_subject_order(self):
         sheet = ScoreSheet((("s1", (10, 20)), ("s2", (30,))))
-        assert sheet.all_scores() == [10, 20, 30]
+        assert sheet.subjects == (("s1", (10.0, 20.0)), ("s2", (30.0,)))
 
     def test_empty_sheet_rejected(self):
         with pytest.raises(ValueError):

@@ -257,6 +257,20 @@ class TestAssessCommand:
         assert code == 0 and err == ""
         assert out == f"1. G1: whitened={whitened} grade=A\n"
 
+    def test_text_rounds_the_reported_value_half_up(self, capsys, tmp_path):
+        # the exact whitened value 70.364999999999994... rounds to 70.36, but
+        # the text rounds the shortest repr of the reported float, 70.365
+        counts = tmp_path / "counts.csv"
+        counts.write_text(
+            "group,grade,count\nG1,A,360673038404650\nG1,F,174065141286099\n", encoding="utf-8"
+        )
+        code, out, err = run(capsys, "assess", "--counts", str(counts), "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)[0]["whitened"] == 70.365
+        code, out, err = run(capsys, "assess", "--counts", str(counts))
+        assert code == 0 and err == ""
+        assert out.startswith("G1: mean=[57.33, 83.40] whitened=70.37 grade=C ")
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_overflowing_score_sum_is_data_error(self, capsys, tmp_path, fmt):
         scale_file = tmp_path / "huge.txt"

@@ -20,23 +20,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from greyassess import (
     GradeDistribution,
-    GradeScale,
-    GreyNumber,
     ScoreSheet,
     assess,
     check_equivalence,
     compare_groups,
     default_scale,
-    dump_counts_csv,
     load_counts_csv,
     load_scores_csv,
     raw_mean,
     read_scale_file,
     scores_to_distribution,
-    write_scale_file,
 )
 from greyassess.cli import _print_json_list, _report_leaves, main
-from greyassess.csvio import _loads_back
 
 # Non-ASCII, control characters, quotes, backslashes and lone surrogates
 # all go through json's own escaping.
@@ -145,7 +140,12 @@ pieces = st.one_of(
 
 
 def _is_cell(text: str) -> bool:
-    return _loads_back(text) and not text.startswith(("#", "\ufeff"))
+    return (
+        "," not in text
+        and text == text.strip()
+        and "".join(text.splitlines()) == text
+        and not text.startswith(("#", "\ufeff"))
+    )
 
 
 group_ids = st.lists(pieces, min_size=1, max_size=4).map("".join).filter(_is_cell)
@@ -192,12 +192,12 @@ def test_cli_json_matches_the_payloads_built_as_dicts(case):
     scale_labels, cuts, groups, t = case
     highs = [100, *(cut - 1 for cut in cuts)]
     lows = [*cuts, 0]
-    scale = GradeScale(tuple(zip(scale_labels, map(GreyNumber, lows, highs))))
     with tempfile.TemporaryDirectory() as tmp:
         scale_path, counts_path, scores_path = (str(Path(tmp, n)) for n in ("s.txt", "c.csv", "p.csv"))
-        write_scale_file(scale, scale_path)
-        dists = {g: GradeDistribution(dict(zip(scale_labels, c))) for g, c in groups}
-        dump_counts_csv(dists, counts_path, scale)
+        scale_lines = (f"{label} {low} {high}\n" for label, low, high in zip(scale_labels, lows, highs))
+        Path(scale_path).write_text("".join(scale_lines), encoding="utf-8")
+        count_rows = (f"{g},{label},{n}\n" for g, c in groups for label, n in zip(scale_labels, c))
+        Path(counts_path).write_text("group,grade,count\n" + "".join(count_rows), encoding="utf-8")
         # each score is its grade's lower bound, which classifies as that grade
         rows = (f"{g},{low}\n" for g, c in groups for low, count in zip(lows, c) for _ in range(count))
         Path(scores_path).write_text("subject,score\n" + "".join(rows), encoding="utf-8")

@@ -80,10 +80,8 @@ def test_public_names():
         "compare_groups",
         "default_scale",
         "defuzzify",
-        "dump_counts_csv",
         "eval_expression",
         "format_expression",
-        "format_scale_text",
         "load_counts_csv",
         "load_scores_csv",
         "mean_gn",
@@ -94,7 +92,6 @@ def test_public_names():
         "scores_to_distribution",
         "tfn_mean",
         "validate_scale",
-        "write_scale_file",
     ]
 
 

@@ -6,8 +6,9 @@ ten; groups hold up to 10**6 objects.
 """
 
 import math
+from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from greyassess import (
     EQUIVALENCE_TOLERANCE,
@@ -104,18 +105,44 @@ def test_single_grade_mean_is_its_interval(scale, data):
     assert mean_gn(GradeDistribution({label: n}), scale) == interval
 
 
-@examples
-@given(scales(), st.data())
-def test_raw_mean_inside_mean_when_every_score_lies_in_its_grade(scale, data):
+@st.composite
+def graded_scores(draw):
+    """A scale and 1-20 scores, each inside the interval of a grade."""
+    scale = draw(scales())
     scores = []
-    for _ in range(data.draw(st.integers(1, 20))):
-        _, interval = data.draw(st.sampled_from(scale.entries))
-        fraction = data.draw(unit)
+    for _ in range(draw(st.integers(1, 20))):
+        _, interval = draw(st.sampled_from(scale.entries))
+        fraction = draw(unit)
         scores.append(min(interval.lower + fraction * (interval.upper - interval.lower), interval.upper))
+    return scale, scores
+
+
+@examples
+@given(graded_scores())
+@example((parse_scale_text("A 85.3 100\nB 0 85.2\n"), [85.3] * 10))
+def test_raw_mean_inside_mean_when_every_score_lies_in_its_grade(case):
+    scale, scores = case
     sheet = ScoreSheet((("all", scores),))
     mean = mean_gn(scores_to_distribution(sheet, scale), scale)
-    value = raw_mean(sheet)
-    assert mean.lower - 1e-9 <= value <= mean.upper + 1e-9
+    assert mean.lower <= raw_mean(sheet) <= mean.upper
+
+
+@examples
+@given(st.lists(
+    st.one_of(
+        st.integers(0, 10**4).map(lambda cents: cents / 100),
+        st.sampled_from([85.3, 64.55, 0.1, 1e-8]),
+        st.floats(-1e300, 1e300),
+    ),
+    min_size=1, max_size=40,
+))
+@example([85.3] * 10)
+# the exact mean lies just below a rounding midpoint that the two fsum
+# passes cannot tell it from, so this takes the exact fallback
+@example([5 * 2.0**52, 2.5, -(2.0**-67)])
+def test_raw_mean_is_the_exact_mean_rounded_once(scores):
+    sheet = ScoreSheet(tuple((f"s{i}", (score,)) for i, score in enumerate(scores)))
+    assert raw_mean(sheet) == float(sum(map(Fraction, scores)) / len(scores))
 
 
 def test_gap_scores_leave_the_raw_mean_outside_the_mean(scale):
