@@ -172,12 +172,26 @@ class TestScaleFiles:
         scale = parse_scale_text("domain 0 20\nhigh 10 20\nlow 0 9\n")
         assert (scale.domain_min, scale.domain_max) == (0.0, 20.0)
         assert scale.validate() == []
+
+    def test_format_roundtrip_nondefault_domain(self):
         scale = parse_scale_text("domain 0.5 20\nhigh 10.25 20\nlow 0.5 9\n")
         assert scale == GradeScale(
             (("high", GreyNumber(10.25, 20)), ("low", GreyNumber(0.5, 9))), 0.5, 20
         )
-        scale = parse_scale_text("domain 0 inf\nA 50 100\nB 0 49\n")
+
+    def test_format_roundtrip_infinite_domain(self, tmp_path):
+        # a non-finite domain end parses, from text and from a file
+        text = "domain 0 inf\nA 50 100\nB 0 49\n"
+        scale = parse_scale_text(text)
         assert (scale.domain_min, scale.domain_max) == (0.0, math.inf)
+        path = tmp_path / "scale.txt"
+        path.write_text(text, encoding="utf-8")
+        assert read_scale_file(path) == scale
+
+    def test_file_roundtrip(self, tmp_path):
+        path = tmp_path / "scale.txt"
+        path.write_text("A 90 100\nB 80 89\nC 70 79\nD 60 69\nF 0 59\n", encoding="utf-8")
+        assert read_scale_file(path) == strict_scale()
 
     def test_byte_order_mark_stripped(self, tmp_path):
         path = tmp_path / "scale.txt"
