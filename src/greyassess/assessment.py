@@ -10,6 +10,7 @@ classifying every score into a grade distribution.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 from operator import attrgetter, mul, neg
@@ -137,15 +138,13 @@ def _tally(pairs: Iterable[tuple[str, Iterable[float]]], scale: GradeScale) -> G
     """Classify every score of the ``(subject, scores)`` pairs into one
     distribution, zero-filled in scale order. An out-of-domain score raises
     naming its subject."""
-    counts = dict.fromkeys(scale.labels, 0)
+    counts: Counter[str] = Counter()
     for subject, scores in pairs:
-        for score in scores:
-            try:
-                grade = scale.classify(score)
-            except OutOfDomainError as exc:
-                raise OutOfDomainError(f"subject {subject!r}: {exc}") from None
-            counts[grade] += 1
-    return GradeDistribution(counts)
+        try:
+            counts.update(map(scale.classify, scores))
+        except OutOfDomainError as exc:
+            raise OutOfDomainError(f"subject {subject!r}: {exc}") from None
+    return GradeDistribution({label: counts[label] for label in scale.labels})
 
 
 def raw_mean(sheet: ScoreSheet) -> float:

@@ -9,7 +9,9 @@ intervals (e.g. 84.5 between B [75, 84] and A [85, 100]) still classify.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator
 
@@ -46,6 +48,10 @@ class GradeScale:
     lower_nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
     upper_nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
+    #: The prefix minima of the lower bounds, ascending, and the grade that
+    #: a score takes from the number of them it reaches.
+    floors: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    floor_labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple((str(l), gn) for l, gn in self.entries))
@@ -56,6 +62,9 @@ class GradeScale:
         object.__setattr__(self, "lower_nums", tuple(nums[0::2]))
         object.__setattr__(self, "upper_nums", tuple(nums[1::2]))
         object.__setattr__(self, "denominator", den)
+        floors = accumulate((gn.lower for _, gn in self.entries), min)
+        object.__setattr__(self, "floors", tuple(floors)[::-1])
+        object.__setattr__(self, "floor_labels", self.labels[-1:] + self.labels[::-1])
         object.__setattr__(self, "domain_min", float(self.domain_min))
         object.__setattr__(self, "domain_max", float(self.domain_max))
 
@@ -70,12 +79,10 @@ class GradeScale:
             raise OutOfDomainError(
                 f"score {score} outside domain [{self.domain_min:g}, {self.domain_max:g}]"
             )
-        for label, gn in self.entries:
-            if score >= gn.lower:
-                return label
-        # a valid scale starts at domain_min, so this is only reachable for
-        # unvalidated scales; the lowest grade absorbs the remainder
-        return self.entries[-1][0]
+        # the first grade whose lower bound the score reaches is the first
+        # whose prefix minimum it reaches; on an unvalidated scale a score
+        # below every bound falls to the lowest grade
+        return self.floor_labels[bisect_right(self.floors, score)]
 
     def validate(self) -> list[str]:
         """All invariant violations, empty when the scale is well formed."""
@@ -198,11 +205,23 @@ def _read_text(path: str | Path, error: type[ValueError]) -> str:
         ) from None
 
 
+#: The characters :func:`_lines` splits at once, up to the next ``"\n"``.
+_PIECE = 1 << 16
+
+
 def _lines(text: str) -> Iterator[tuple[int, str]]:
-    """Each stripped line that is neither blank nor a ``#`` comment, with its number from 1."""
-    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
-        if line and line[0] != "#":
-            yield lineno, line
+    """Each stripped line that is neither blank nor a ``#`` comment, with its number from 1.
+
+    The text is split one piece at a time, each ending just after a ``"\n"``,
+    which always ends a line, so the pieces give the lines of the whole text.
+    """
+    start = lineno = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE) + 1 or len(text)
+        for lineno, line in enumerate(map(str.strip, text[start:end].splitlines()), lineno + 1):
+            if line and line[0] != "#":
+                yield lineno, line
+        start = end
 
 
 def _parse_num(cell: str, lineno: int) -> float:
