@@ -20,6 +20,7 @@ from greyassess import (
     raw_mean,
     scores_to_distribution,
 )
+from greyassess.assessment import _tally
 
 from conftest import (
     G1_LOWER,
@@ -280,6 +281,16 @@ class TestScoresToDistribution:
         sheet = ScoreSheet((("p9", (50, 101)),))
         with pytest.raises(OutOfDomainError, match="p9"):
             scores_to_distribution(sheet, scale)
+
+    def test_first_out_of_domain_score_in_input_order_is_named(self, scale):
+        # built directly, so that no loader checks the domain first
+        sheet = ScoreSheet((("p1", (50, 60)), ("p2", (70, 120, -5)), ("p3", (-1,))))
+        message = "subject 'p2': score 120.0 outside domain [0, 100]"
+        with pytest.raises(OutOfDomainError) as pooled:
+            scores_to_distribution(sheet, scale)
+        with pytest.raises(OutOfDomainError) as per_subject:
+            [_tally([pair], scale) for pair in sheet.subjects]
+        assert str(pooled.value) == str(per_subject.value) == message
 
 
 class TestRawMean:

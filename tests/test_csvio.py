@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from greyassess import (
     load_scores_csv,
     read_scale_file,
 )
+from greyassess.scale import _PIECE, _lines
 
 from conftest import PLAYER_SCORES, TABLE1_G1, TABLE1_G2
 
@@ -365,3 +368,128 @@ def test_scores_loader_matches_reference(tmp_path_factory, text):
     assert _outcome(load_scores_csv, path, scale) == _outcome(
         _reference_load_scores, text.removeprefix("\ufeff"), scale
     )
+
+
+# Texts of several pieces: the loaders split one piece of _PIECE characters
+# at a time, each ending just after a "\n", and must give the lines, numbers
+# and first error of splitting the whole text at once.
+
+_SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+# header, filler row i (padded, so that a piece holds fewer rows), two other
+# valid rows of 5 characters, loader, reference
+_KINDS = {
+    "counts": (
+        "group,grade,count",
+        lambda i: f"G{i // 5},{'ABCDF'[i % 5]},{' ' * 48}3",
+        ("X,A,1", "Y,C,2"),
+        load_counts_csv,
+        _reference_load_counts,
+    ),
+    "scores": (
+        "subject,score",
+        lambda i: f"P{i % 50},{' ' * 48}75.5",
+        ("Q1,60", "Q2,70"),
+        load_scores_csv,
+        _reference_load_scores,
+    ),
+}
+
+
+def _long_text(kind, middle, at, newlines=("\n", "\r\n"), size=200_000):
+    """A ``kind`` CSV text of at least ``size`` characters with ``middle``
+    starting at index ``at``; rows end in each of ``newlines`` in turn, and a
+    comment line padded with spaces ends just before ``middle``."""
+    header, row, rows, _, _ = _KINDS[kind]
+    newline = newlines[0]
+    filler = (row(i) + newlines[i % len(newlines)] for i in itertools.count())
+    parts = [header + newline]
+    length = len(parts[0])
+    for part in filler:
+        if length + len(part) + len(newline) >= at:
+            break
+        parts.append(part)
+        length += len(part)
+    parts += ["#".ljust(at - length - len(newline)) + newline, middle.format(*rows)]
+    length = at + len(parts[-1])
+    for part in filler:
+        if length >= size:
+            break
+        parts.append(part)
+        length += len(part)
+    return "".join(parts)
+
+
+def _cut_cases():
+    for sep in _SEPARATORS:
+        name = repr(sep).strip("'")
+        for d in (-1, 0, 1):
+            # the separator at index _PIECE + d, after a 5-character row
+            yield pytest.param("{0}" + sep + "{1}\n", _PIECE + d - 5, id=f"{name}-at-cut{d:+d}")
+        # the separator first in the piece after a "\n" at index _PIECE
+        yield pytest.param(sep + "{1}\n", _PIECE + 1, id=f"{name}-after-cut")
+    for d in (-4, -1, 0, 1):
+        yield pytest.param(
+            "\n \t\n# note\r\n#\n\x0c\n{0}\n", _PIECE + d, id=f"blank-and-comments-at-cut{d:+d}"
+        )
+    yield pytest.param(
+        "# " + "x" * 2 * _PIECE + "\n{0}\n", _PIECE - 100, id="comment-longer-than-a-piece"
+    )
+    yield pytest.param(
+        "{0}" + " " * 2 * _PIECE + "\r\n{1}\n", _PIECE - 100, id="row-longer-than-a-piece"
+    )
+
+
+def _both_ways(tmp_path, kind, text):
+    """The loader's outcome on ``text`` as a file, and the reference's on ``text``."""
+    _, _, _, load, reference = _KINDS[kind]
+    path = tmp_path / "long.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert list(_lines(text)) == list(_reference_lines(text))
+    return _outcome(load, path, default_scale()), _outcome(reference, text, default_scale())
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("middle,at", _cut_cases())
+def test_lines_and_loaders_match_reference_across_pieces(tmp_path, kind, middle, at):
+    text = _long_text(kind, middle, at)
+    assert len(text) >= 3 * _PIECE and text.index(middle.format(*_KINDS[kind][2])) == at
+    got, expected = _both_ways(tmp_path, kind, text)
+    assert got == expected and not isinstance(expected, str)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_text_without_a_newline_is_one_piece(tmp_path, kind):
+    text = _long_text(kind, "{0}\r{1}\r", _PIECE, newlines=("\r", "\u2028", "\r\x85"))
+    assert "\n" not in text and len(text) >= 3 * _PIECE
+    got, expected = _both_ways(tmp_path, kind, text)
+    assert got == expected and not isinstance(expected, str)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_malformed_row_in_the_third_piece_reports_its_line(tmp_path, kind):
+    at = 2 * _PIECE + _PIECE // 2
+    text = _long_text(kind, "{0},9\r\n{1}\n", at)
+    got, expected = _both_ways(tmp_path, kind, text)
+    lineno = text[:at].count("\n") + 1
+    assert got == expected
+    assert expected.startswith(f"line {lineno}: expected ")
+
+
+def test_scores_loader_memory_per_row(tmp_path):
+    # the traced peak holds the file's bytes and text, one piece's lines and
+    # the scores: about 48 bytes a row, against about 112 while every line of
+    # the file was held at once
+    rows = 100_000
+    path = tmp_path / "scores.csv"
+    path.write_text(
+        "subject,score\n" + "".join(f"S{i % 1000},{i % 10001 / 100}\n" for i in range(rows)),
+        encoding="utf-8",
+    )
+    tracemalloc.start()
+    try:
+        load_scores_csv(path, default_scale())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / rows < 80

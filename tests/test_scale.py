@@ -109,6 +109,56 @@ class TestClassify:
         # higher score classifies to an equal-or-higher grade
         assert order.index(scale.classify(s1)) >= order.index(scale.classify(s2))
 
+    @given(st.data())
+    def test_matches_linear_scan(self, data):
+        scale = data.draw(_unvalidated_scales())
+        edges = [x for _, gn in scale.entries for x in (gn.lower, gn.upper)]
+        edges = sorted({*edges, scale.domain_min, scale.domain_max} - {math.inf, -math.inf})
+        near = [math.nextafter(x, to) for x in edges for to in (-math.inf, x, math.inf)]
+        gaps = [a / 2 + b / 2 for a, b in zip(edges, edges[1:])]
+        special = [0.0, -0.0, math.nan, math.inf, -math.inf]
+        scores = st.sampled_from(near + gaps + special) | st.floats()
+        for score in data.draw(st.lists(scores, min_size=1, max_size=20)):
+            assert _classified(scale.classify, score) == _classified(
+                lambda s: _linear_classify(scale, s), score
+            )
+
+
+def _linear_classify(scale, score):
+    """The linear scan that classified scores before the bisect, kept as the reference."""
+    if not scale.domain_min <= score <= scale.domain_max:
+        raise OutOfDomainError(
+            f"score {score} outside domain [{scale.domain_min:g}, {scale.domain_max:g}]"
+        )
+    for label, gn in scale.entries:
+        if score >= gn.lower:
+            return label
+    return scale.entries[-1][0]
+
+
+def _classified(classify, score):
+    try:
+        return "grade", classify(score)
+    except OutOfDomainError as exc:
+        return "error", str(exc)
+
+
+_bounds = st.sampled_from(
+    [-5.0, -0.0, 0.0, 5e-324, 49.0, 50.0, 74.5, 75.0, 84.0, 85.0, 100.0]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _unvalidated_scales(draw):
+    """Scales in any order, overlapping, gapped or with repeated labels, over
+    any domain, ``0 inf`` among them."""
+    entry = st.tuples(st.sampled_from("ABC"), _bounds, _bounds)
+    entries = draw(st.lists(entry, min_size=1, max_size=6))
+    domains = st.sampled_from([(0.0, 100.0), (0.0, math.inf), (-math.inf, math.inf)])
+    domain = draw(domains | st.tuples(_bounds, _bounds))
+    intervals = tuple((label, GreyNumber(min(a, b), max(a, b))) for label, a, b in entries)
+    return GradeScale(intervals, *domain)
+
 
 def _scale(entries, lo=0, hi=100):
     return GradeScale(tuple((l, GreyNumber(a, b)) for l, a, b in entries), lo, hi)
