@@ -10,6 +10,7 @@ classifying every score into a grade distribution.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
@@ -58,13 +59,20 @@ class GradeDistribution:
 
 @dataclass(frozen=True)
 class ScoreSheet:
-    """Raw numeric scores grouped per subject, in first-appearance order."""
+    """Raw numeric scores grouped per subject, in first-appearance order.
 
-    subjects: tuple[tuple[str, tuple[float, ...]], ...]
+    Each subject's scores are held as one ``array('d')`` of C doubles.
+    """
+
+    subjects: tuple[tuple[str, array[float]], ...]
+
+    def __hash__(self) -> int:
+        # agrees with the generated __eq__, which compares the arrays by value
+        return hash(tuple((subject, tuple(scores)) for subject, scores in self.subjects))
 
     def __post_init__(self) -> None:
         normalized = tuple(
-            (str(subject), tuple(map(float, scores))) for subject, scores in self.subjects
+            (str(subject), array("d", map(float, scores))) for subject, scores in self.subjects
         )
         if not normalized:
             raise ValueError("score sheet has no subjects")

@@ -8,6 +8,7 @@ score files ``subject,score`` rows (one row per observation).
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 from typing import Iterator
 
@@ -101,7 +102,7 @@ def load_scores_csv(path: str | Path, scale: GradeScale) -> ScoreSheet:
     lines = _lines(_read_text(path, DataFormatError))
     _check_header(lines, SCORES_HEADER)
     domain_min, domain_max = scale.domain_min, scale.domain_max
-    scores_by_subject: dict[str, list[float]] = {}
+    scores_by_subject: dict[str, array[float]] = {}
     get_scores = scores_by_subject.get
     for lineno, line in lines:
         # the line is stripped, so only the inner side of each cell is padded
@@ -124,7 +125,7 @@ def load_scores_csv(path: str | Path, scale: GradeScale) -> ScoreSheet:
             )
         scores = get_scores(subject)
         if scores is None:
-            scores_by_subject[subject] = [score]
+            scores_by_subject[subject] = array("d", (score,))
         else:
             scores.append(score)
     if not scores_by_subject:

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterator
+from typing import AnyStr, Iterator
 
 from .grey import GreyNumber, IntervalError
 
@@ -193,35 +193,59 @@ def _read_text(path: str | Path, error: type[ValueError]) -> str:
     Bytes that are not UTF-8 raise ``error`` naming the file and the line,
     numbered as :func:`_lines` numbers them.
     """
-    try:
-        return Path(path).read_bytes().decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # exc.start indexes exc.object, which has the byte order mark stripped
-        before = exc.object[: exc.start].decode("utf-8")
-        lineno = len((before + "?").splitlines())  # "?" stands for the bad byte
-        raise error(
-            f"{path}: line {lineno}: not valid UTF-8 at byte "
-            f"0x{exc.object[exc.start]:02x} ({exc.reason})"
-        ) from None
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        # look for a bad byte one piece at a time, since the error from
+        # decoding the whole file would hold a second copy of its bytes
+        start = 0
+        for piece in _pieces(data, len(data)):
+            try:
+                piece.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = start + exc.start
+                # a piece holds len((text + "?").splitlines()) - 1 line breaks, as
+                # no piece but the last ends in a "\r" ("?" stands for the bad byte)
+                lineno = 1 + sum(
+                    len((before.decode("utf-8") + "?").splitlines()) - 1
+                    for before in _pieces(data, bad)
+                )
+                raise error(
+                    f"{path}: line {lineno}: not valid UTF-8 at byte "
+                    f"0x{data[bad]:02x} ({exc.reason})"
+                ) from None
+            start += len(piece)
+    return data.decode("utf-8-sig")
 
 
 #: The characters :func:`_lines` splits at once, up to the next ``"\n"``.
 _PIECE = 1 << 16
 
 
+def _pieces(text: AnyStr, end: int) -> Iterator[AnyStr]:
+    """``text[:end]`` one piece at a time, each ending just after the first
+    ``"\n"`` at or past :data:`_PIECE` items from its start, or at ``end``.
+
+    A ``"\n"`` always ends a line, and in UTF-8 bytes it is never part of
+    another character, so the pieces' lines are the lines of the whole.
+    """
+    newline = "\n" if isinstance(text, str) else b"\n"
+    start = 0
+    while start < end:
+        stop = text.find(newline, start + _PIECE, end) + 1 or end
+        yield text[start:stop]
+        start = stop
+
+
 def _lines(text: str) -> Iterator[tuple[int, str]]:
     """Each stripped line that is neither blank nor a ``#`` comment, with its number from 1.
 
-    The text is split one piece at a time, each ending just after a ``"\n"``,
-    which always ends a line, so the pieces give the lines of the whole text.
+    The text is split one piece at a time, so only one piece's lines are held.
     """
-    start = lineno = 0
-    while start < len(text):
-        end = text.find("\n", start + _PIECE) + 1 or len(text)
-        for lineno, line in enumerate(map(str.strip, text[start:end].splitlines()), lineno + 1):
+    lineno = 0
+    for piece in _pieces(text, len(text)):
+        for lineno, line in enumerate(map(str.strip, piece.splitlines()), lineno + 1):
             if line and line[0] != "#":
                 yield lineno, line
-        start = end
 
 
 def _parse_num(cell: str, lineno: int) -> float:

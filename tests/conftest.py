@@ -1,4 +1,5 @@
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,14 @@ def scores_csv(tmp_path):
     path = tmp_path / "players.csv"
     path.write_text(scores_csv_text(), encoding="utf-8")
     return path
+
+
+def sheet_values(sheet):
+    """``sheet.subjects`` as ``[(subject, [score, ...]), ...]``, after checking
+    that each subject's scores are held as an ``array('d')``."""
+    for _, scores in sheet.subjects:
+        assert type(scores) is array and scores.typecode == "d"
+    return [(subject, list(scores)) for subject, scores in sheet.subjects]
 
 
 def random_distribution(rng, labels):

@@ -32,6 +32,7 @@ from conftest import (
     PLAYERS_UPPER,
     PLAYERS_WHITENED,
     random_distribution,
+    sheet_values,
     strict_scale,
 )
 
@@ -74,7 +75,7 @@ class TestGradeDistribution:
 class TestScoreSheet:
     def test_pooling_keeps_subject_order(self):
         sheet = ScoreSheet((("s1", (10, 20)), ("s2", (30,))))
-        assert sheet.subjects == (("s1", (10.0, 20.0)), ("s2", (30.0,)))
+        assert sheet_values(sheet) == [("s1", [10.0, 20.0]), ("s2", [30.0])]
 
     def test_empty_sheet_rejected(self):
         with pytest.raises(ValueError):

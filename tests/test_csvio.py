@@ -16,7 +16,7 @@ from greyassess import (
 )
 from greyassess.scale import _PIECE, _lines
 
-from conftest import PLAYER_SCORES, TABLE1_G1, TABLE1_G2
+from conftest import PLAYER_SCORES, TABLE1_G1, TABLE1_G2, sheet_values
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -95,9 +95,9 @@ class TestLoadScores:
         assert len(sheet.subjects) == 5
         assert [subject for subject, _ in sheet.subjects] == ["P1", "P2", "P3", "P4", "P5"]
         assert all(len(scores) == 6 for _, scores in sheet.subjects)
-        assert sheet.subjects == tuple(
-            (subject, tuple(float(s) for s in scores)) for subject, scores in PLAYER_SCORES
-        )
+        assert sheet_values(sheet) == [
+            (subject, [float(s) for s in scores]) for subject, scores in PLAYER_SCORES
+        ]
 
     def test_duplicate_scores_kept(self, scores_csv, scale):
         sheet = load_scores_csv(scores_csv, scale)
@@ -137,7 +137,7 @@ class TestLoadScores:
     def test_unit_separator_padding_is_trimmed(self, tmp_path, scale):
         # str.strip trims \x1f, float() does not, and splitlines does not break on it
         path = write(tmp_path, "subject,score\nP1,\x1f87.5\n\x1fP2\x1f,\t90\x1f\n")
-        assert load_scores_csv(path, scale).subjects == (("P1", (87.5,)), ("P2", (90.0,)))
+        assert sheet_values(load_scores_csv(path, scale)) == [("P1", [87.5]), ("P2", [90.0])]
 
 
 class TestEncoding:
@@ -149,7 +149,7 @@ class TestEncoding:
     def test_byte_order_mark_before_scores_header(self, tmp_path, scale):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbfsubject,score\nP1,50\n")
-        assert load_scores_csv(path, scale).subjects == (("P1", (50.0,)),)
+        assert sheet_values(load_scores_csv(path, scale)) == [("P1", [50.0])]
 
     def test_invalid_utf8_names_file_and_line(self, tmp_path, scale):
         path = tmp_path / "bad.csv"
