@@ -1,7 +1,10 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -78,12 +81,70 @@ class TestScoreSheet:
         assert sheet_values(sheet) == [("s1", [10.0, 20.0]), ("s2", [30.0])]
 
     def test_empty_sheet_rejected(self):
-        with pytest.raises(ValueError):
-            ScoreSheet(())
+        for subjects in ((), iter(())):
+            with pytest.raises(ValueError, match="^score sheet has no subjects$"):
+                ScoreSheet(subjects)
 
     def test_subject_without_scores_rejected(self):
         with pytest.raises(ValueError):
             ScoreSheet((("s1", ()),))
+        with pytest.raises(ValueError, match="^subject 's2' has no scores$"):
+            ScoreSheet((("s1", [50]), ("s2", array("d"))))
+
+    def test_list_tuple_and_array_give_equal_sheets(self):
+        values = [87.5, -0.0, 100.0, 87.5]
+        sheets = [
+            ScoreSheet((("s1", make(values)), ("s2", make(values[:1]))))
+            for make in (list, tuple, lambda v: array("d", v))
+        ]
+        for sheet in sheets:
+            assert sheet == sheets[0] and hash(sheet) == hash(sheets[0])
+            assert sheet_values(sheet) == [("s1", values), ("s2", values[:1])]
+        other = ScoreSheet((("s1", values[:-1]), ("s2", values[:1])))
+        assert len({*sheets, other}) == 2 and other != sheets[0]
+
+    def test_scores_convert_as_float_converts_them(self):
+        raw = ["87.5", 1, True, Fraction(1, 4), " 9_0 "]
+        sheet = ScoreSheet((("s1", raw),))
+        assert sheet_values(sheet) == [("s1", [87.5, 1.0, 1.0, 0.25, 90.0])]
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ("abc", ValueError, "could not convert string to float: 'abc'"),
+            (10**400, OverflowError, "int too large to convert to float"),
+        ],
+    )
+    def test_non_numbers_raise_what_float_raises(self, bad, error, message):
+        for convert in (float, lambda x: ScoreSheet((("s1", [50, x]),))):
+            with pytest.raises(error) as exc_info:
+                convert(bad)
+            assert type(exc_info.value) is error and str(exc_info.value) == message
+
+    def test_extreme_doubles_come_back_bit_for_bit(self):
+        values = [-0.0, 5e-324, 1e308, -1e308, 2.2250738585072014e-308, 0.1]
+        (_, scores), = ScoreSheet((("s1", values),)).subjects
+        assert [x.hex() for x in scores] == [x.hex() for x in values]
+        assert math.copysign(1.0, scores[0]) == -1.0
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy]
+        + [
+            lambda obj, protocol=protocol: pickle.loads(pickle.dumps(obj, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+        ids=["copy", "deepcopy"] + [f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_copy_and_pickle_round_trip(self, round_trip):
+        sheet = ScoreSheet((("s1", (10, 20.5)), ("s2", ("-0",))))
+        again = round_trip(sheet)
+        assert type(again) is ScoreSheet
+        assert again == sheet and hash(again) == hash(sheet)
+        assert sheet_values(again) == [("s1", [10.0, 20.5]), ("s2", [-0.0])]
+        assert math.copysign(1.0, again.subjects[1][1][0]) == -1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            again.subjects = ()
 
 
 class TestMeanGn:

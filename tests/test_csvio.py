@@ -476,16 +476,21 @@ def test_malformed_row_in_the_third_piece_reports_its_line(tmp_path, kind):
     assert expected.startswith(f"line {lineno}: expected ")
 
 
-def test_scores_loader_memory_per_row(tmp_path):
-    # the traced peak holds the file's bytes and text, one piece's lines and
-    # the scores: about 48 bytes a row, against about 112 while every line of
-    # the file was held at once
+def _hundred_thousand_scores(tmp_path):
     rows = 100_000
     path = tmp_path / "scores.csv"
     path.write_text(
         "subject,score\n" + "".join(f"S{i % 1000},{i % 10001 / 100}\n" for i in range(rows)),
         encoding="utf-8",
     )
+    return path, rows
+
+
+def test_scores_loader_memory_per_row(tmp_path):
+    # the traced peak holds the file's bytes and text, one piece's lines and
+    # the scores: about 48 bytes a row, against about 112 while every line of
+    # the file was held at once
+    path, rows = _hundred_thousand_scores(tmp_path)
     tracemalloc.start()
     try:
         load_scores_csv(path, default_scale())
@@ -493,3 +498,80 @@ def test_scores_loader_memory_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / rows < 80
+
+
+def test_scores_sheet_memory_held_per_row(tmp_path):
+    # what stays once the loader returns is the sheet: a packed double of 8
+    # bytes a score, against 32 for a float object and its slot in a tuple
+    path, rows = _hundred_thousand_scores(tmp_path)
+    tracemalloc.start()
+    try:
+        sheet = load_scores_csv(path, default_scale())
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(scores) for _, scores in sheet.subjects) == rows
+    assert held / rows <= 16
+
+
+# A byte that is not UTF-8 is looked for and its line counted one piece of the
+# file's bytes at a time, each piece ending just after a "\n".
+
+
+def _piece_starts(data):
+    start = 0
+    while start := data.find(b"\n", start + _PIECE) + 1:
+        yield start
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize(
+    "offset, before, bad, after, reason",
+    [
+        (0, b"", b"\xff", b"P1,50\n", "invalid start byte"),
+        (0, b"\r", b"\xff", b"P1,50\n", "invalid start byte"),
+        (0, b"\r\n", b"\xff", b"P1,50\n", "invalid start byte"),
+        (0, b"P1,5\r", b"\xff", b"0\n", "invalid start byte"),
+        (0, "\x85".encode(), b"\xc3", b"(P1,50\n", "invalid continuation byte"),
+        (5000, b"\r", b"\xff", b"", "invalid start byte"),
+        (5000, "\u2028".encode(), b"\xff", b"\r\n", "invalid start byte"),
+    ],
+    ids=["first", "after-cr", "after-crlf", "in-row-after-cr", "after-nel", "mid-piece-after-cr",
+         "mid-piece-after-ls"],
+)
+def test_bad_byte_in_the_third_piece_reports_its_line(
+    tmp_path, newline, offset, before, bad, after, reason
+):
+    filler = b"subject,score" + newline + b"".join(
+        b"P%d,%d%s" % (i % 50, i % 101, newline) for i in range(30_000)
+    )
+    at = list(itertools.islice(_piece_starts(filler), 2))[1] + offset
+    path = tmp_path / "bad.csv"
+    path.write_bytes(filler[:at] + before + bad + after + filler[at:])
+    assert path.stat().st_size >= 200_000
+    # the line the reference numbers with "?" in place of the bad byte
+    marked = (filler[:at] + before + b"?" + after + filler[at:]).decode("utf-8")
+    (lineno,) = [n for n, line in _reference_lines(marked) if "?" in line]
+    with pytest.raises(DataFormatError) as exc_info:
+        load_scores_csv(path, default_scale())
+    assert str(exc_info.value) == (
+        f"{path}: line {lineno}: not valid UTF-8 at byte 0x{bad[0]:02x} ({reason})"
+    )
+
+
+def test_bad_byte_error_holds_no_second_copy_of_the_file(tmp_path):
+    # the file's bytes and one piece's text and lines, against about 9 times
+    # the file while the whole was decoded into an error that copied its bytes
+    # and the line was numbered from a list of every line before it
+    path, _ = _hundred_thousand_scores(tmp_path)
+    with path.open("ab") as out:
+        out.write(b"S1,5\xff0\n")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match=r": line 100002: not valid UTF-8 at byte 0xff"):
+            load_scores_csv(path, default_scale())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * size
