@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .assessment import GradeDistribution, ScoreSheet
-from .scale import GradeScale, _lines, _read_text
+from .scale import GradeScale, _file_pieces, _numbered
 
 COUNTS_HEADER = ("group", "grade", "count")
 SCORES_HEADER = ("subject", "score")
@@ -46,7 +46,7 @@ def load_counts_csv(path: str | Path, scale: GradeScale) -> dict[str, GradeDistr
     Grades missing from the file default to count 0; every distribution
     carries the full label set of the scale.
     """
-    lines = _lines(_read_text(path, DataFormatError))
+    lines = _numbered(_file_pieces(path, DataFormatError))
     _check_header(lines, COUNTS_HEADER)
     labels = scale.labels
     raw_counts: dict[str, dict[str, int]] = {}
@@ -99,7 +99,7 @@ def load_scores_csv(path: str | Path, scale: GradeScale) -> ScoreSheet:
     Duplicate scores for a subject are kept; every score must lie within
     the scale's score domain.
     """
-    lines = _lines(_read_text(path, DataFormatError))
+    lines = _numbered(_file_pieces(path, DataFormatError))
     _check_header(lines, SCORES_HEADER)
     domain_min, domain_max = scale.domain_min, scale.domain_max
     scores_by_subject: dict[str, array[float]] = {}

@@ -10,10 +10,11 @@ intervals (e.g. 84.5 between B [75, 84] and A [85, 100]) still classify.
 from __future__ import annotations
 
 from bisect import bisect_right
+from codecs import BOM_UTF8
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
-from typing import AnyStr, Iterator
+from typing import Iterable, Iterator
 
 from .grey import GreyNumber, IntervalError
 
@@ -156,10 +157,18 @@ def parse_scale_text(text: str) -> GradeScale:
     Lines starting with ``#`` are comments. An optional leading line
     ``domain <min> <max>`` overrides the default domain 0 100.
     """
+    return _parse_scale(_numbered([text.splitlines()]))
+
+
+def read_scale_file(path: str | Path) -> GradeScale:
+    return _parse_scale(_numbered(_file_pieces(path, ScaleFormatError)))
+
+
+def _parse_scale(lines: Iterable[tuple[int, str]]) -> GradeScale:
     entries: list[tuple[str, GreyNumber]] = []
     domain = (0.0, 100.0)
     domain_seen = False
-    for lineno, line in _lines(text):
+    for lineno, line in lines:
         parts = line.split()
         if parts[0] == "domain":
             if entries or domain_seen:
@@ -187,67 +196,6 @@ def parse_scale_text(text: str) -> GradeScale:
     return GradeScale(tuple(entries), domain[0], domain[1])
 
 
-def _read_text(path: str | Path, error: type[ValueError]) -> str:
-    """The file's text: UTF-8 after an optional byte order mark.
-
-    Bytes that are not UTF-8 raise ``error`` naming the file and the line,
-    numbered as :func:`_lines` numbers them.
-    """
-    data = Path(path).read_bytes()
-    if not data.isascii():
-        # look for a bad byte one piece at a time, since the error from
-        # decoding the whole file would hold a second copy of its bytes
-        start = 0
-        for piece in _pieces(data, len(data)):
-            try:
-                piece.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                bad = start + exc.start
-                # a piece holds len((text + "?").splitlines()) - 1 line breaks, as
-                # no piece but the last ends in a "\r" ("?" stands for the bad byte)
-                lineno = 1 + sum(
-                    len((before.decode("utf-8") + "?").splitlines()) - 1
-                    for before in _pieces(data, bad)
-                )
-                raise error(
-                    f"{path}: line {lineno}: not valid UTF-8 at byte "
-                    f"0x{data[bad]:02x} ({exc.reason})"
-                ) from None
-            start += len(piece)
-    return data.decode("utf-8-sig")
-
-
-#: The characters :func:`_lines` splits at once, up to the next ``"\n"``.
-_PIECE = 1 << 16
-
-
-def _pieces(text: AnyStr, end: int) -> Iterator[AnyStr]:
-    """``text[:end]`` one piece at a time, each ending just after the first
-    ``"\n"`` at or past :data:`_PIECE` items from its start, or at ``end``.
-
-    A ``"\n"`` always ends a line, and in UTF-8 bytes it is never part of
-    another character, so the pieces' lines are the lines of the whole.
-    """
-    newline = "\n" if isinstance(text, str) else b"\n"
-    start = 0
-    while start < end:
-        stop = text.find(newline, start + _PIECE, end) + 1 or end
-        yield text[start:stop]
-        start = stop
-
-
-def _lines(text: str) -> Iterator[tuple[int, str]]:
-    """Each stripped line that is neither blank nor a ``#`` comment, with its number from 1.
-
-    The text is split one piece at a time, so only one piece's lines are held.
-    """
-    lineno = 0
-    for piece in _pieces(text, len(text)):
-        for lineno, line in enumerate(map(str.strip, piece.splitlines()), lineno + 1):
-            if line and line[0] != "#":
-                yield lineno, line
-
-
 def _parse_num(cell: str, lineno: int) -> float:
     try:
         return float(cell)
@@ -255,6 +203,48 @@ def _parse_num(cell: str, lineno: int) -> float:
         raise ScaleFormatError(f"line {lineno}: not a number: {cell!r}") from None
 
 
-def read_scale_file(path: str | Path) -> GradeScale:
-    return parse_scale_text(_read_text(path, ScaleFormatError))
+def _numbered(pieces: Iterable[list[str]]) -> Iterator[tuple[int, str]]:
+    """Each stripped line of ``pieces``, lists of consecutive lines, that is
+    neither blank nor a ``#`` comment, with its number from 1."""
+    lineno = 0
+    for lines in pieces:
+        for lineno, line in enumerate(map(str.strip, lines), lineno + 1):
+            if line and line[0] != "#":
+                yield lineno, line
 
+
+#: The bytes :func:`_file_pieces` reads at once, up to the next ``b"\n"``.
+_PIECE = 1 << 16
+
+
+def _file_pieces(path: str | Path, error: type[ValueError]) -> Iterator[list[str]]:
+    """The file's lines, one list a piece: UTF-8 after an optional byte order
+    mark, split as ``str.splitlines`` splits the text.
+
+    The file is read and decoded one piece at a time, each ending just after
+    the first ``b"\n"`` at or past :data:`_PIECE` bytes from its start, or at
+    the end of the file. A ``"\n"`` always ends a line, and in UTF-8 it is never
+    part of another character, so the pieces' lines are the lines of the whole.
+    Bytes that are not UTF-8 raise ``error`` naming the file and the line, when
+    their piece is reached.
+    """
+    with open(path, "rb") as file:
+        piece = file.read(_PIECE).removeprefix(BOM_UTF8) + file.readline()
+        lineno = 0
+        while piece:
+            try:
+                lines = piece.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                # the lines before the bad byte's and its own: "?" stands for it,
+                # so that a line break just before it counts
+                lineno += len((piece[: exc.start].decode("utf-8") + "?").splitlines())
+                raise error(
+                    f"{path}: line {lineno}: not valid UTF-8 at byte "
+                    f"0x{piece[exc.start]:02x} ({exc.reason})"
+                ) from None
+            # free the bytes before the loader parses the lines, so that what
+            # it allocates can take their place on the heap
+            del piece
+            yield lines
+            lineno += len(lines)
+            piece = file.read(_PIECE) + file.readline()

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import tracemalloc
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +13,14 @@ from greyassess import (
     ScoreSheet,
     default_scale,
     load_counts_csv,
+    ScaleFormatError,
     load_scores_csv,
+    parse_scale_text,
     read_scale_file,
 )
-from greyassess.scale import _PIECE, _lines
+from greyassess import scale as scale_module
+from greyassess.cli import main
+from greyassess.scale import _PIECE, _file_pieces, _numbered
 
 from conftest import PLAYER_SCORES, TABLE1_G1, TABLE1_G2, sheet_values
 
@@ -340,8 +346,8 @@ def _csv_texts(draw, header, columns):
 def _outcome(load, *args):
     try:
         result = load(*args)
-    except DataFormatError as exc:
-        return str(exc)
+    except (DataFormatError, ScaleFormatError) as exc:
+        return f"{type(exc).__name__}: {exc}"
     return list(result.items()) if isinstance(result, dict) else result
 
 
@@ -370,29 +376,57 @@ def test_scores_loader_matches_reference(tmp_path_factory, text):
     )
 
 
-# Texts of several pieces: the loaders split one piece of _PIECE characters
-# at a time, each ending just after a "\n", and must give the lines, numbers
-# and first error of splitting the whole text at once.
+# Files of several pieces: the loaders read one piece of _PIECE bytes at a
+# time, each ending just after a "\n", and must give the lines, numbers and
+# first error of splitting the whole text at once.
 
 _SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
-# header, filler row i (padded, so that a piece holds fewer rows), two other
-# valid rows of 5 characters, loader, reference
+
+class _Kind(NamedTuple):
+    header: str
+    row: Callable[[int], str]  # filler row i, padded so that a piece holds fewer rows
+    rows: tuple[str, str]  # two other valid rows of 5 characters
+    sep: str  # what separates a row's cells
+    load: Callable
+    reference: Callable  # the loader on the text, after any byte order mark
+    error: type[ValueError]
+
+
+def _scale_kind(bom):
+    return _Kind(
+        bom + "domain 0 100",
+        lambda i: f"#{' ' * 48}{i}",
+        ("A 1 2", "B 0 1"),
+        " ",
+        lambda path, _: read_scale_file(path),
+        lambda text, _: parse_scale_text(text),
+        ScaleFormatError,
+    )
+
+
 _KINDS = {
-    "counts": (
+    "counts": _Kind(
         "group,grade,count",
         lambda i: f"G{i // 5},{'ABCDF'[i % 5]},{' ' * 48}3",
         ("X,A,1", "Y,C,2"),
+        ",",
         load_counts_csv,
         _reference_load_counts,
+        DataFormatError,
     ),
-    "scores": (
+    "scores": _Kind(
         "subject,score",
         lambda i: f"P{i % 50},{' ' * 48}75.5",
         ("Q1,60", "Q2,70"),
+        ",",
         load_scores_csv,
         _reference_load_scores,
+        DataFormatError,
     ),
+    # a scale file of padded comment lines, without and with a byte order mark
+    "scale": _scale_kind(""),
+    "scale-bom": _scale_kind("\ufeff"),
 }
 
 
@@ -400,7 +434,7 @@ def _long_text(kind, middle, at, newlines=("\n", "\r\n"), size=200_000):
     """A ``kind`` CSV text of at least ``size`` characters with ``middle``
     starting at index ``at``; rows end in each of ``newlines`` in turn, and a
     comment line padded with spaces ends just before ``middle``."""
-    header, row, rows, _, _ = _KINDS[kind]
+    header, row, rows = _KINDS[kind][:3]
     newline = newlines[0]
     filler = (row(i) + newlines[i % len(newlines)] for i in itertools.count())
     parts = [header + newline]
@@ -442,10 +476,11 @@ def _cut_cases():
 
 def _both_ways(tmp_path, kind, text):
     """The loader's outcome on ``text`` as a file, and the reference's on ``text``."""
-    _, _, _, load, reference = _KINDS[kind]
+    load, reference = _KINDS[kind].load, _KINDS[kind].reference
     path = tmp_path / "long.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert list(_lines(text)) == list(_reference_lines(text))
+    text = text.removeprefix("\ufeff")
+    assert list(_numbered(_file_pieces(path, DataFormatError))) == list(_reference_lines(text))
     return _outcome(load, path, default_scale()), _outcome(reference, text, default_scale())
 
 
@@ -453,7 +488,7 @@ def _both_ways(tmp_path, kind, text):
 @pytest.mark.parametrize("middle,at", _cut_cases())
 def test_lines_and_loaders_match_reference_across_pieces(tmp_path, kind, middle, at):
     text = _long_text(kind, middle, at)
-    assert len(text) >= 3 * _PIECE and text.index(middle.format(*_KINDS[kind][2])) == at
+    assert len(text) >= 3 * _PIECE and text.index(middle.format(*_KINDS[kind].rows)) == at
     got, expected = _both_ways(tmp_path, kind, text)
     assert got == expected and not isinstance(expected, str)
 
@@ -469,11 +504,64 @@ def test_text_without_a_newline_is_one_piece(tmp_path, kind):
 @pytest.mark.parametrize("kind", _KINDS)
 def test_malformed_row_in_the_third_piece_reports_its_line(tmp_path, kind):
     at = 2 * _PIECE + _PIECE // 2
-    text = _long_text(kind, "{0},9\r\n{1}\n", at)
+    text = _long_text(kind, "{0}" + _KINDS[kind].sep + "9\r\n{1}\n", at)
     got, expected = _both_ways(tmp_path, kind, text)
     lineno = text[:at].count("\n") + 1
     assert got == expected
-    assert expected.startswith(f"line {lineno}: expected ")
+    assert expected.startswith(f"{_KINDS[kind].error.__name__}: line {lineno}: expected ")
+
+
+# A piece's bytes are decoded before any of its rows are parsed, and the next
+# piece is read only once they are: the first piece with a fault gives the
+# error, and within a piece a bad byte comes before a malformed row (the
+# after-malformed-row cases of test_bad_byte_in_the_third_piece_reports_its_line).
+
+
+def _third_piece_start(data):
+    return list(itertools.islice(_piece_starts(data), 2))[1]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_malformed_row_in_the_first_piece_comes_before_a_bad_byte_in_the_third(tmp_path, kind):
+    at = _PIECE // 2
+    text = _long_text(kind, "{0}" + _KINDS[kind].sep + "9\r\n{1}\n", at)
+    data = text.encode("utf-8")
+    third = _third_piece_start(data)
+    path = tmp_path / "long.csv"
+    path.write_bytes(data[:third] + b"\xff" + data[third:])
+    expected = _outcome(_KINDS[kind].reference, text.removeprefix("\ufeff"), default_scale())
+    assert _outcome(_KINDS[kind].load, path, default_scale()) == expected
+    lineno = text[:at].count("\n") + 1
+    assert expected.startswith(f"{_KINDS[kind].error.__name__}: line {lineno}: expected ")
+
+
+def test_data_error_mid_file_closes_every_file_read(tmp_path, monkeypatch, capsys):
+    # the reader holds its file open while the loader parses; a fault in the
+    # rows it gave must close it, with no help from the cycle collector
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(scale_module, "open", recording_open, raising=False)
+    at = _PIECE + _PIECE // 2
+    text = _long_text("scores", "{0},9\r\n{1}\n", at)
+    path = tmp_path / "long.csv"
+    path.write_bytes(text.encode("utf-8") + b"P1,\xff\n")
+    scale_path = Path(__file__).resolve().parents[1] / "data" / "strict_scale.txt"
+    gc.disable()
+    try:
+        code = main(["assess", "--scores", str(path), "--scale", str(scale_path)])
+        assert [file.name for file in opened] == [str(scale_path), str(path)]
+        assert all(file.closed for file in opened)
+    finally:
+        gc.enable()
+    assert code == 1
+    lineno = text[:at].count("\n") + 1
+    assert capsys.readouterr().err == (
+        f"error: line {lineno}: expected 'subject,score', got 'Q1,60,9'\n"
+    )
 
 
 def _hundred_thousand_scores(tmp_path):
@@ -487,9 +575,9 @@ def _hundred_thousand_scores(tmp_path):
 
 
 def test_scores_loader_memory_per_row(tmp_path):
-    # the traced peak holds the file's bytes and text, one piece's lines and
-    # the scores: about 48 bytes a row, against about 112 while every line of
-    # the file was held at once
+    # the traced peak holds one piece's bytes, text and lines and the scores:
+    # about 20 bytes a row, where holding the file's bytes and text whole
+    # took about 26
     path, rows = _hundred_thousand_scores(tmp_path)
     tracemalloc.start()
     try:
@@ -497,7 +585,7 @@ def test_scores_loader_memory_per_row(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / rows < 80
+    assert peak / rows < 23
 
 
 def test_scores_sheet_memory_held_per_row(tmp_path):
@@ -514,8 +602,8 @@ def test_scores_sheet_memory_held_per_row(tmp_path):
     assert held / rows <= 16
 
 
-# A byte that is not UTF-8 is looked for and its line counted one piece of the
-# file's bytes at a time, each piece ending just after a "\n".
+# A byte that is not UTF-8 is found when its piece is decoded, and its line
+# is counted from the lines of the pieces before and of its own piece alone.
 
 
 def _piece_starts(data):
@@ -524,45 +612,51 @@ def _piece_starts(data):
         yield start
 
 
-@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
-@pytest.mark.parametrize(
-    "offset, before, bad, after, reason",
-    [
-        (0, b"", b"\xff", b"P1,50\n", "invalid start byte"),
-        (0, b"\r", b"\xff", b"P1,50\n", "invalid start byte"),
-        (0, b"\r\n", b"\xff", b"P1,50\n", "invalid start byte"),
-        (0, b"P1,5\r", b"\xff", b"0\n", "invalid start byte"),
-        (0, "\x85".encode(), b"\xc3", b"(P1,50\n", "invalid continuation byte"),
-        (5000, b"\r", b"\xff", b"", "invalid start byte"),
-        (5000, "\u2028".encode(), b"\xff", b"\r\n", "invalid start byte"),
-    ],
-    ids=["first", "after-cr", "after-crlf", "in-row-after-cr", "after-nel", "mid-piece-after-cr",
-         "mid-piece-after-ls"],
-)
+_BAD_BYTE_CASES = {
+    "first": (0, b"", b"\xff", b"P1,50\n", "invalid start byte"),
+    "after-cr": (0, b"\r", b"\xff", b"P1,50\n", "invalid start byte"),
+    "after-crlf": (0, b"\r\n", b"\xff", b"P1,50\n", "invalid start byte"),
+    "in-row-after-cr": (0, b"P1,5\r", b"\xff", b"0\n", "invalid start byte"),
+    "after-nel": (0, "\x85".encode(), b"\xc3", b"(P1,50\n", "invalid continuation byte"),
+    "mid-piece-after-cr": (5000, b"\r", b"\xff", b"", "invalid start byte"),
+    "mid-piece-after-ls": (5000, "\u2028".encode(), b"\xff", b"\r\n", "invalid start byte"),
+    # a row with a fault in every kind, in the bad byte's piece
+    "after-malformed-row": (0, b"P1,5,6\n", b"\xff", b"P1,50\n", "invalid start byte"),
+}
+
+
+def _bad_byte_params():
+    for kind in _KINDS:
+        for case, values in _BAD_BYTE_CASES.items():
+            for newline, name in (("\n", "lf"), ("\r\n", "crlf")):
+                suffix = "" if kind == "scores" else f"-{kind}"
+                yield pytest.param(kind, newline, *values, id=f"{case}-{name}{suffix}")
+
+
+@pytest.mark.parametrize("kind, newline, offset, before, bad, after, reason", _bad_byte_params())
 def test_bad_byte_in_the_third_piece_reports_its_line(
-    tmp_path, newline, offset, before, bad, after, reason
+    tmp_path, kind, newline, offset, before, bad, after, reason
 ):
-    filler = b"subject,score" + newline + b"".join(
-        b"P%d,%d%s" % (i % 50, i % 101, newline) for i in range(30_000)
-    )
-    at = list(itertools.islice(_piece_starts(filler), 2))[1] + offset
+    header, row = _KINDS[kind][:2]
+    filler = (header + newline + "".join(row(i) + newline for i in range(4000))).encode("utf-8")
+    at = _third_piece_start(filler) + offset
     path = tmp_path / "bad.csv"
     path.write_bytes(filler[:at] + before + bad + after + filler[at:])
     assert path.stat().st_size >= 200_000
     # the line the reference numbers with "?" in place of the bad byte
-    marked = (filler[:at] + before + b"?" + after + filler[at:]).decode("utf-8")
+    marked = (filler[:at] + before + b"?" + after + filler[at:]).decode("utf-8-sig")
     (lineno,) = [n for n, line in _reference_lines(marked) if "?" in line]
-    with pytest.raises(DataFormatError) as exc_info:
-        load_scores_csv(path, default_scale())
+    with pytest.raises(_KINDS[kind].error) as exc_info:
+        _KINDS[kind].load(path, default_scale())
     assert str(exc_info.value) == (
         f"{path}: line {lineno}: not valid UTF-8 at byte 0x{bad[0]:02x} ({reason})"
     )
 
 
 def test_bad_byte_error_holds_no_second_copy_of_the_file(tmp_path):
-    # the file's bytes and one piece's text and lines, against about 9 times
-    # the file while the whole was decoded into an error that copied its bytes
-    # and the line was numbered from a list of every line before it
+    # the error comes once the rows before its piece are parsed, so the peak
+    # is that of loading those rows: one piece's bytes, text and lines and
+    # the scores, with no copy of the whole file in the error
     path, _ = _hundred_thousand_scores(tmp_path)
     with path.open("ab") as out:
         out.write(b"S1,5\xff0\n")

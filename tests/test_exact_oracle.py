@@ -5,8 +5,8 @@ rounded once: the oracle computes it with ``Fraction`` from the floats the
 scale file parses to and rounds it with ``float``. The grade is the grade of
 the reported whitened value, ranks are competition ranks by that value, and
 groups tie exactly when their whitened values are equal. The counts route
-is drawn; the scores route's raw mean is a plain float sum and is not
-checked here.
+is drawn; the scores route is not checked here, though its raw mean is
+also the exact mean of the scores rounded once (``assessment.raw_mean``).
 """
 
 import contextlib
