@@ -12,81 +12,83 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 from operator import attrgetter, mul, neg
 from typing import Iterable, Mapping, Sequence
 
-from .grey import GreyNumber, _whiten
+from .grey import GreyNumber, _Value, _whiten
 from .scale import GradeScale, OutOfDomainError, UnknownGradeError
 
 
-@dataclass(frozen=True)
-class GradeDistribution:
+class GradeDistribution(_Value):
     """Per-grade object counts for one assessed group.
 
     Labels absent from the mapping count as zero. An all-zero distribution
     is constructible but cannot be assessed.
     """
 
+    __match_args__ = ("counts",)
+    __slots__ = ("counts", "n")
     counts: Mapping[str, int]
     #: The number of graded objects, derived from ``counts``.
-    n: int = field(init=False, repr=False, compare=False)
+    n: int
 
-    def __hash__(self) -> int:
-        # agrees with the generated __eq__, which compares the counts dicts
-        return hash(frozenset(self.counts.items()))
-
-    def __post_init__(self) -> None:
-        counts: dict[str, int] = {}
+    def __init__(self, counts: Mapping[str, int]) -> None:
+        checked: dict[str, int] = {}
         n = 0
-        for label, count in self.counts.items():
+        for label, count in counts.items():
             if not isinstance(count, int) or isinstance(count, bool):
                 raise ValueError(f"count for grade {label!r} must be an integer, got {count!r}")
             if count < 0:
                 raise ValueError(f"count for grade {label!r} is negative: {count}")
             key = str(label)
-            if key in counts:
+            if key in checked:
                 raise ValueError(f"grade {key!r} is given more than once")
-            counts[key] = count
+            checked[key] = count
             n += count
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n", n)
+        _set_counts(self, checked)
+        _set_n(self, n)
+
+    def __hash__(self) -> int:
+        # agrees with __eq__, which compares the counts dicts
+        return hash(frozenset(self.counts.items()))
 
     def count(self, label: str) -> int:
         return self.counts.get(label, 0)
 
 
-@dataclass(frozen=True)
-class ScoreSheet:
+class ScoreSheet(_Value):
     """Raw numeric scores grouped per subject, in first-appearance order.
 
     Each subject's scores are held as one ``array('d')`` of C doubles.
     """
 
+    __slots__ = __match_args__ = ("subjects",)
     subjects: tuple[tuple[str, array[float]], ...]
 
-    def __hash__(self) -> int:
-        # agrees with the generated __eq__, which compares the arrays by value
-        return hash(tuple((subject, tuple(scores)) for subject, scores in self.subjects))
-
-    def __post_init__(self) -> None:
+    def __init__(self, subjects: Iterable[tuple[str, Iterable[float]]]) -> None:
         normalized = tuple(
-            (str(subject), array("d", map(float, scores))) for subject, scores in self.subjects
+            (str(subject), array("d", map(float, scores))) for subject, scores in subjects
         )
         if not normalized:
             raise ValueError("score sheet has no subjects")
         for subject, scores in normalized:
             if not scores:
                 raise ValueError(f"subject {subject!r} has no scores")
-        object.__setattr__(self, "subjects", normalized)
+        _set_subjects(self, normalized)
+
+    def __hash__(self) -> int:
+        # agrees with __eq__, which compares the arrays by value
+        return hash(tuple((subject, tuple(scores)) for subject, scores in self.subjects))
 
 
-@dataclass(frozen=True)
-class AssessmentReport:
+class AssessmentReport(_Value):
     """Assessment outcome for one group: mean grey number, whitened value,
     assigned grade, and the distribution it came from."""
 
+    __slots__ = __match_args__ = (
+        "group_id", "n", "mean_gn", "whitened", "grade", "distribution", "t", "scale"
+    )
     group_id: str
     n: int
     mean_gn: GreyNumber
@@ -95,6 +97,19 @@ class AssessmentReport:
     distribution: GradeDistribution
     t: float
     scale: GradeScale
+
+    def __init__(
+        self, group_id: str, n: int, mean_gn: GreyNumber, whitened: float, grade: str,
+        distribution: GradeDistribution, t: float, scale: GradeScale,
+    ) -> None:
+        _set_group_id(self, group_id)
+        _set_report_n(self, n)
+        _set_mean_gn(self, mean_gn)
+        _set_whitened(self, whitened)
+        _set_grade(self, grade)
+        _set_distribution(self, distribution)
+        _set_t(self, t)
+        _set_scale(self, scale)
 
     def to_dict(self) -> dict:
         """Full-precision JSON-serializable form."""
@@ -107,6 +122,20 @@ class AssessmentReport:
             "t": self.t,
             "distribution": {label: self.distribution.count(label) for label in self.scale.labels},
         }
+
+
+# bound slot setters, as for GreyNumber
+_set_counts = GradeDistribution.counts.__set__
+_set_n = GradeDistribution.n.__set__
+_set_subjects = ScoreSheet.subjects.__set__
+_set_group_id = AssessmentReport.group_id.__set__
+_set_report_n = AssessmentReport.n.__set__
+_set_mean_gn = AssessmentReport.mean_gn.__set__
+_set_whitened = AssessmentReport.whitened.__set__
+_set_grade = AssessmentReport.grade.__set__
+_set_distribution = AssessmentReport.distribution.__set__
+_set_t = AssessmentReport.t.__set__
+_set_scale = AssessmentReport.scale.__set__
 
 
 def mean_gn(dist: GradeDistribution, scale: GradeScale) -> GreyNumber:

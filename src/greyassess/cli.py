@@ -173,31 +173,35 @@ def _load_scale(args: argparse.Namespace) -> GradeScale:
 
 
 def _reports(
-    args: argparse.Namespace, scale: GradeScale, pool_scores: bool
-) -> tuple[list[AssessmentReport], ScoreSheet | None]:
+    args: argparse.Namespace, scale: GradeScale, sheet: ScoreSheet | None = None
+) -> list[AssessmentReport]:
     """Assess the input file: one report per counts group, and for a scores
-    sheet one pooled "all" report or one report per subject. The sheet is
-    returned too, so its raw scores are read only once."""
+    file one pooled "all" report of ``sheet`` when it is given, else one
+    report per subject, tallied as the loader hands on that subject's scores
+    so that no sheet is built."""
     from .assessment import _tally, assess, scores_to_distribution
-    from .csvio import load_counts_csv, load_scores_csv
+    from .csvio import _drained_scores, load_counts_csv
 
-    sheet = None
     if args.counts:
         groups = load_counts_csv(args.counts, scale).items()
+    elif sheet is not None:
+        groups = [("all", scores_to_distribution(sheet, scale))]
     else:
-        sheet = load_scores_csv(args.scores, scale)
-        if pool_scores:
-            groups = [("all", scores_to_distribution(sheet, scale))]
-        else:
-            groups = (
-                (subject, _tally(((subject, scores),), scale)) for subject, scores in sheet.subjects
-            )
-    return [assess(dist, scale, args.t, group_id=group) for group, dist in groups], sheet
+        groups = (
+            (subject, _tally(((subject, scores),), scale))
+            for subject, scores in _drained_scores(args.scores, scale)
+        )
+    return [assess(dist, scale, args.t, group_id=group) for group, dist in groups]
 
 
 def _cmd_assess(args: argparse.Namespace) -> int:
     scale = _load_scale(args)
-    reports, sheet = _reports(args, scale, pool_scores=True)
+    sheet = None
+    if args.scores:
+        from .csvio import load_scores_csv
+
+        sheet = load_scores_csv(args.scores, scale)
+    reports = _reports(args, scale, sheet)
     extras: dict[str, float] = {}
     if sheet is not None:
         from .assessment import raw_mean
@@ -250,7 +254,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .assessment import compare_groups
 
-    reports, _ = _reports(args, _load_scale(args), pool_scores=False)
+    reports = _reports(args, _load_scale(args))
     ranked: list[tuple[int, str, AssessmentReport]] = []
     rank = 1
     for group in compare_groups(reports):

@@ -99,6 +99,16 @@ def load_scores_csv(path: str | Path, scale: GradeScale) -> ScoreSheet:
     Duplicate scores for a subject are kept; every score must lie within
     the scale's score domain.
     """
+    return ScoreSheet(_drained_scores(path, scale))
+
+
+def _drained_scores(path: str | Path, scale: GradeScale) -> Iterator[tuple[str, array[float]]]:
+    """Each subject of the scores file with its scores, in first-appearance
+    order, once every row is parsed and checked.
+
+    Each pair is popped before it is yielded, so a consumer that drops the
+    scores it has used holds the scores once.
+    """
     lines = _numbered(_file_pieces(path, DataFormatError))
     _check_header(lines, SCORES_HEADER)
     domain_min, domain_max = scale.domain_min, scale.domain_max
@@ -130,4 +140,7 @@ def load_scores_csv(path: str | Path, scale: GradeScale) -> ScoreSheet:
             scores.append(score)
     if not scores_by_subject:
         raise DataFormatError("no data rows found")
-    return ScoreSheet(scores_by_subject.items())
+    # pop by key: taking the dict's first key each time would walk past
+    # every slot popped before it
+    for subject in list(scores_by_subject):
+        yield subject, scores_by_subject.pop(subject)

@@ -49,6 +49,9 @@ class _Value:
     class and compares ``_key`` (the field tuple unless overridden), the hash
     agrees with it, and repr shows the fields. Copies and unpickling rebuild
     through the constructor, because no field can be set on an existing object.
+    A field derived from the others is named in ``__slots__`` only: it is no
+    constructor argument, stays out of equality, hash and repr, and a copy
+    derives it again.
     """
 
     __slots__ = ()
@@ -60,6 +63,8 @@ class _Value:
     _key = _fields
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key() == other._key()

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from codecs import BOM_UTF8
-from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .grey import GreyNumber, IntervalError
+from .grey import GreyNumber, IntervalError, _Value
 
 
 class UnknownGradeError(ValueError):
@@ -31,8 +30,7 @@ class ScaleFormatError(ValueError):
     """A scale definition file that cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class GradeScale:
+class GradeScale(_Value):
     """Ordered (label, interval) pairs, highest grade first, over a domain.
 
     Construction is permissive; use :meth:`validate` to check the structural
@@ -40,34 +38,45 @@ class GradeScale:
     labels) and get back a list of violations.
     """
 
+    __match_args__ = ("entries", "domain_min", "domain_max")
+    __slots__ = __match_args__ + (
+        "labels", "lower_nums", "upper_nums", "denominator", "floors", "floor_labels"
+    )
     entries: tuple[tuple[str, GreyNumber], ...]
-    domain_min: float = 0.0
-    domain_max: float = 100.0
+    domain_min: float
+    domain_max: float
     #: The grade labels in scale order, derived from ``entries``.
-    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    labels: tuple[str, ...]
     #: The grade endpoints in scale order as integers over one power of two.
-    lower_nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    upper_nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    denominator: int = field(init=False, repr=False, compare=False)
+    lower_nums: tuple[int, ...]
+    upper_nums: tuple[int, ...]
+    denominator: int
     #: The prefix minima of the lower bounds, ascending, and the grade that
     #: a score takes from the number of them it reaches.
-    floors: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    floor_labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    floors: tuple[float, ...]
+    floor_labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple((str(l), gn) for l, gn in self.entries))
-        object.__setattr__(self, "labels", tuple(label for label, _ in self.entries))
-        ratios = [x.as_integer_ratio() for _, gn in self.entries for x in (gn.lower, gn.upper)]
+    def __init__(
+        self,
+        entries: Iterable[tuple[str, GreyNumber]],
+        domain_min: float = 0.0,
+        domain_max: float = 100.0,
+    ) -> None:
+        entries = tuple((str(l), gn) for l, gn in entries)
+        _set_entries(self, entries)
+        labels = tuple(label for label, _ in entries)
+        _set_labels(self, labels)
+        ratios = [x.as_integer_ratio() for _, gn in entries for x in (gn.lower, gn.upper)]
         den = max([d for _, d in ratios], default=1)
         nums = [n * (den // d) for n, d in ratios]
-        object.__setattr__(self, "lower_nums", tuple(nums[0::2]))
-        object.__setattr__(self, "upper_nums", tuple(nums[1::2]))
-        object.__setattr__(self, "denominator", den)
-        floors = accumulate((gn.lower for _, gn in self.entries), min)
-        object.__setattr__(self, "floors", tuple(floors)[::-1])
-        object.__setattr__(self, "floor_labels", self.labels[-1:] + self.labels[::-1])
-        object.__setattr__(self, "domain_min", float(self.domain_min))
-        object.__setattr__(self, "domain_max", float(self.domain_max))
+        _set_lower_nums(self, tuple(nums[0::2]))
+        _set_upper_nums(self, tuple(nums[1::2]))
+        _set_denominator(self, den)
+        floors = accumulate((gn.lower for _, gn in entries), min)
+        _set_floors(self, tuple(floors)[::-1])
+        _set_floor_labels(self, labels[-1:] + labels[::-1])
+        _set_domain_min(self, float(domain_min))
+        _set_domain_max(self, float(domain_max))
 
     def classify(self, score: float) -> str:
         """Grade containing the score under the contiguous-partition rule.
@@ -131,6 +140,18 @@ class GradeScale:
                     f"not at the domain maximum {self.domain_max:g}"
                 )
         return violations
+
+
+# bound slot setters, as for GreyNumber
+_set_entries = GradeScale.entries.__set__
+_set_domain_min = GradeScale.domain_min.__set__
+_set_domain_max = GradeScale.domain_max.__set__
+_set_labels = GradeScale.labels.__set__
+_set_lower_nums = GradeScale.lower_nums.__set__
+_set_upper_nums = GradeScale.upper_nums.__set__
+_set_denominator = GradeScale.denominator.__set__
+_set_floors = GradeScale.floors.__set__
+_set_floor_labels = GradeScale.floor_labels.__set__
 
 
 def default_scale() -> GradeScale:

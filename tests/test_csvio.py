@@ -1,6 +1,8 @@
 import gc
 import itertools
+import os
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -669,3 +671,70 @@ def test_bad_byte_error_holds_no_second_copy_of_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * size
+
+
+def _scores_file_errors():
+    filler = "subject,score\n" + "".join(f"S{i % 2000},{i % 10001 / 100}\n" for i in range(25_000))
+    data = filler.encode("utf-8")
+    third = _third_piece_start(data)
+    rows = filler.count("\n")
+    third_line = data.count(b"\n", 0, third) + 1
+    return {
+        "empty": (b"", "error: empty file: expected header 'subject,score'"),
+        "wrong-header": (b"subj,score\nP1,5\n", "error: line 1: expected header"),
+        "header-only": (b"subject,score\n# none\n", "error: no data rows found"),
+        "three-cells": (b"subject,score\nP1,50\nP1,60,70\n", "error: line 3: expected 'subject,score'"),
+        "no-comma": (b"subject,score\nP1 50\n", "error: line 2: expected 'subject,score'"),
+        "not-a-number": (b"subject,score\nP1,5\nP2,abc\n", "error: line 3: score is not a number"),
+        "out-of-domain": (b"subject,score\nP1,130\n", "error: line 2: subject 'P1' score 130"),
+        "bad-byte": (b"subject,score\nP1,5\xff\n", "error: {path}: line 2: not valid UTF-8"),
+        "malformed-last-row": (data + b"S1,5,6", f"error: line {rows + 1}: expected 'subject,score'"),
+        "bad-byte-in-third-piece": (
+            data[:third] + b"\xff" + data[third:],
+            f"error: {{path}}: line {third_line}: not valid UTF-8 at byte 0xff",
+        ),
+        "missing-file": (None, "error: [Errno 2] No such file or directory"),
+    }
+
+
+_SCORES_FILE_ERRORS = _scores_file_errors()
+
+
+@pytest.mark.parametrize("data, start", _SCORES_FILE_ERRORS.values(), ids=_SCORES_FILE_ERRORS)
+def test_compare_reports_each_scores_error_as_assess_does(tmp_path, capsys, data, start):
+    # compare tallies each subject as the loader hands it on, once every row
+    # is parsed and checked, so it fails as assess does and prints nothing else
+    path = tmp_path / "scores.csv"
+    if data is not None:
+        path.write_bytes(data)
+    outcomes = []
+    for command in ("assess", "compare"):
+        for fmt in ("text", "json"):
+            code = main([command, "--scores", str(path), "--format", fmt])
+            outcomes.append((code, *capsys.readouterr()))
+    err = outcomes[0][2]
+    assert outcomes == [(1, "", err)] * 4
+    assert err.startswith(start.format(path=path)) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["assess", "compare"])
+def test_scores_commands_hold_the_scores_once(tmp_path, command):
+    # the loader pops each subject's scores as it hands them on: assess's
+    # sheet copies them one subject at a time and compare tallies each
+    # subject before it takes the next, so neither holds every score twice,
+    # which takes about 19 bytes a row
+    rows = 300_000
+    path = tmp_path / "scores.csv"
+    path.write_text(
+        "subject,score\n" + "".join(f"S{i % 2000},{i % 10001 / 100}\n" for i in range(rows)),
+        encoding="utf-8",
+    )
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main([command, "--scores", str(path), "--format", "json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak / rows < 15

@@ -6,7 +6,6 @@ with its leaves left open. It must give the bytes ``json`` gives, and so
 must ``assess`` and ``compare`` against the payloads built as dicts.
 """
 
-import dataclasses
 import io
 import json
 import math
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from greyassess import (
+    AssessmentReport,
     GradeDistribution,
     ScoreSheet,
     assess,
@@ -114,7 +114,10 @@ def test_list_printer_writes_each_entry_before_drawing_the_next():
 
 def test_non_finite_report_leaf_raises_value_error():
     report = assess(GradeDistribution({"A": 1, "F": 2}), default_scale())
-    broken = dataclasses.replace(report, whitened=math.inf)
+    broken = AssessmentReport(
+        report.group_id, report.n, report.mean_gn, math.inf, report.grade,
+        report.distribution, report.t, report.scale,
+    )
     message = "Out of range float values are not JSON compliant: inf"
     with pytest.raises(ValueError, match=message):
         printed(report.to_dict(), map(_report_leaves, [report, broken]))

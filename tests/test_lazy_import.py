@@ -180,15 +180,46 @@ def test_check_tfn_loads_the_fuzzy_route():
     assert "tfn" in loaded and "expr" not in loaded
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_calc_does_not_import_dataclasses(fmt):
-    loaded = fresh(
+def heavy_stdlib_loaded_by(*argv: str) -> list[str]:
+    """Which of ``dataclasses`` and ``inspect`` one ``cli.main`` run loads;
+    the run must exit 0."""
+    return fresh(
         f"""
 import contextlib, io, json, sys
 from greyassess.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    main(["calc", "--format", {fmt!r}, "2 * ([85,100] + [75,84])"])
-print(json.dumps("dataclasses" in sys.modules))
+    code = main({list(argv)!r})
+assert code == 0, code
+print(json.dumps([name for name in ("dataclasses", "inspect") if name in sys.modules]))
 """
     )
-    assert loaded is False
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_calc_does_not_import_dataclasses(fmt):
+    assert heavy_stdlib_loaded_by("calc", "--format", fmt, "2 * ([85,100] + [75,84])") == []
+
+
+# every command but assess --check-tfn, whose fuzzy route still uses dataclasses
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate-scale"],
+        ["validate-scale", "--scale", str(DATA / "strict_scale.txt")],
+        ["assess", "--counts", str(DATA / "table1.csv")],
+        ["compare", "--counts", str(DATA / "table1.csv")],
+        ["assess", "--scores", str(DATA / "players.csv")],
+        ["compare", "--scores", str(DATA / "players.csv"), "--scale", str(DATA / "strict_scale.txt")],
+    ],
+    ids=[
+        "validate-scale",
+        "validate-scale-file",
+        "assess-counts",
+        "compare-counts",
+        "assess-scores",
+        "compare-scores-scale-file",
+    ],
+)
+def test_no_command_imports_dataclasses_or_inspect(argv, fmt):
+    assert heavy_stdlib_loaded_by(*argv, "--format", fmt) == []

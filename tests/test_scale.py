@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,11 +36,33 @@ class TestBuiltinScales:
         assert default_scale().labels == ("A", "B", "C", "D", "F")
 
     def test_replace_rederives_labels(self):
+        # a scale built from another's fields with new entries derives its own
         entries = (("X", GreyNumber(50, 100)), ("Y", GreyNumber(0, 49)))
-        scale = dataclasses.replace(default_scale(), entries=entries)
+        base = default_scale()
+        scale = GradeScale(entries, base.domain_min, base.domain_max)
         assert scale.labels == ("X", "Y")
         assert (scale.lower_nums, scale.upper_nums, scale.denominator) == ((50, 0), (100, 49), 1)
+        assert (scale.floors, scale.floor_labels) == ((0.0, 50.0), ("Y", "Y", "X"))
         assert scale == GradeScale(entries)
+        # derived fields are no constructor arguments, and neither repr nor
+        # equality reads them; copies and unpickled scales derive them again
+        derived = ("labels", "lower_nums", "upper_nums", "denominator", "floors", "floor_labels")
+        for name in derived:
+            with pytest.raises(TypeError):
+                GradeScale(entries, **{name: getattr(scale, name)})
+        with pytest.raises(TypeError):
+            GradeScale(entries, 0.0, 100.0, scale.labels)
+        assert GradeScale.__match_args__ == ("entries", "domain_min", "domain_max")
+        assert scale._key() == (scale.entries, 0.0, 100.0)
+        assert repr(scale) == (
+            "GradeScale(entries=(('X', GreyNumber(lower=50.0, upper=100.0)), "
+            "('Y', GreyNumber(lower=0.0, upper=49.0))), domain_min=0.0, domain_max=100.0)"
+        )
+        for again in (copy.copy(scale), copy.deepcopy(scale), pickle.loads(pickle.dumps(scale))):
+            assert again == scale
+            assert [getattr(again, name) for name in derived] == [
+                getattr(scale, name) for name in derived
+            ]
 
     def test_endpoints_over_one_power_of_two(self):
         scale = parse_scale_text("A 85.3 100\nB 0.25 85.2\n")
